@@ -54,7 +54,7 @@ type (
 	// Machine is a simulated CPU with a loaded program.
 	Machine = cpu.Machine
 	// Cluster is a multi-core machine: private L1s/TLBs per core over a
-	// shared L2 and RAM, driven by one deterministic serial engine.
+	// shared L2 and RAM, stepped in core-index order every cycle.
 	Cluster = cpu.Cluster
 	// Workload is one of the thirteen benchmarks.
 	Workload = prog.Workload
@@ -69,9 +69,6 @@ type (
 	CampaignSummary = campaign.Summary
 	// Mode selects how far faulty runs simulate.
 	Mode = campaign.Mode
-	// ForkPolicy selects how per-fault runs fork off the golden prefix
-	// (checkpoint snapshots vs. legacy deep clones).
-	ForkPolicy = campaign.ForkPolicy
 	// Fault is one single-bit transient fault.
 	Fault = fault.Fault
 	// IMM is an ISA Manifestation Model class (Table I).
@@ -144,16 +141,6 @@ const (
 	ModeExhaustive = campaign.ModeExhaustive
 	ModeHVF        = campaign.ModeHVF
 	ModeAVGI       = campaign.ModeAVGI
-
-	// ForkCursor (the default) advances a per-worker golden cursor once
-	// through its chunk and re-arms a local snapshot per fault with
-	// dirty-delta copies; ForkSnapshot rewinds pooled scratch machines
-	// from shared interval checkpoints; ForkLegacyClone deep-copies a
-	// mother machine per fault. See docs/CHECKPOINTING.md and
-	// docs/PERFORMANCE.md.
-	ForkCursor      = campaign.ForkCursor
-	ForkSnapshot    = campaign.ForkSnapshot
-	ForkLegacyClone = campaign.ForkLegacyClone
 
 	// RawFITPerBit is the raw failure rate used for FIT derating.
 	RawFITPerBit = core.RawFITPerBit

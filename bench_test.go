@@ -73,21 +73,6 @@ func BenchmarkGoldenRun(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
 }
 
-// BenchmarkMachineClone measures the checkpoint-fork cost that both the
-// accelerated SFI baseline and AVGI pay per fault.
-func BenchmarkMachineClone(b *testing.B) {
-	m, err := NewMachine(ConfigA72(), "sha")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.Run(RunOptions{StopAtCycle: 5000})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := m.Clone()
-		_ = c
-	}
-}
-
 // BenchmarkSingleFaultExhaustive measures one traditional end-to-end SFI
 // run (fork, flip, simulate to completion, classify).
 func BenchmarkSingleFaultExhaustive(b *testing.B) {

@@ -190,9 +190,10 @@ telemetry (see docs/OBSERVABILITY.md):
   -log FMT           stderr log format: text (default) or json
 
 performance (see docs/PERFORMANCE.md):
-  -fork P            cursor (default; per-worker golden cursor with
-                     dirty-delta snapshot/restore), snapshot (shared
-                     checkpoint store), or clone (legacy deep copy)
+  -ckpt-interval N   golden checkpoint spacing in cycles; each worker's
+                     golden cursor starts from the nearest checkpoint and
+                     forks every fault with dirty-delta snapshot/restore
+  -early-exit=false  run every AVGI window to its full ERT horizon
 
 scheduling (see docs/SCHEDULING.md):
   -workers N         global worker budget; campaigns of one experiment
@@ -262,10 +263,6 @@ func selectedStructures() []string {
 }
 
 func buildStudy(machine avgi.MachineConfig, workloads []avgi.Workload, obsv *avgi.Observer) (*avgi.Study, error) {
-	policy, err := common.ForkPolicy()
-	if err != nil {
-		return nil, err
-	}
 	if common.Resume && common.Journal == "" {
 		return nil, fmt.Errorf("-resume requires -journal DIR")
 	}
@@ -302,7 +299,6 @@ func buildStudy(machine avgi.MachineConfig, workloads []avgi.Workload, obsv *avg
 		Workers:            workers,
 		SeedBase:           *flagSeed,
 		Obs:                obsv,
-		ForkPolicy:         policy,
 		CheckpointInterval: common.CkptInterval,
 		JournalDir:         common.Journal,
 		Resume:             common.Resume,

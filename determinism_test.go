@@ -1,14 +1,14 @@
 package avgi
 
-// Determinism gates for the serial event engine (internal/engine): the same
-// machine built twice and run through the engine must finish on the same
-// cycle, with the same commit count and the same output digest — the
-// repeatability contract every other subsystem (trace comparison, journal
-// resume, the golden-cursor fault path) is built on. The harness follows
-// the build-twice/run/compare idiom of deterministic event-driven
-// simulators: no tolerance, any divergence is a hard failure.
+// Determinism gates for the serial tick loop (docs/ENGINE.md): the same
+// machine built twice and run must finish on the same cycle, with the same
+// commit count and the same output digest — the repeatability contract
+// every other subsystem (trace comparison, journal resume, the
+// golden-cursor fault path) is built on. The harness follows the
+// build-twice/run/compare idiom of deterministic simulators: no
+// tolerance, any divergence is a hard failure.
 //
-// The cluster gates additionally run under -race in CI: the engine is
+// The cluster gates additionally run under -race in CI: the tick loop is
 // serial by design, so a data-race report here means a component broke the
 // single-goroutine discipline, not that a tolerance needs loosening.
 
@@ -54,7 +54,7 @@ func clusterFingerprint(t *testing.T, cfg MachineConfig, workload string, cores 
 
 // TestEngineDeterminismAllWorkloads is the full gate: all thirteen
 // workloads on both machine variants (AVG64/A72 and AVG32/A15), each built
-// twice and run through the engine.
+// twice and run.
 func TestEngineDeterminismAllWorkloads(t *testing.T) {
 	for _, cfg := range []MachineConfig{ConfigA72(), ConfigA15()} {
 		for _, w := range Workloads() {
@@ -73,7 +73,7 @@ func TestEngineDeterminismAllWorkloads(t *testing.T) {
 }
 
 // TestClusterDeterminism is the multi-core gate: the 2-core shared-L2
-// cluster, built twice and run through the engine, on both variants. The
+// cluster, built twice and run, on both variants. The
 // cluster output must also be exactly two copies of the single-core
 // output — cores in disjoint physical windows running the same program
 // must not perturb each other through the shared L2 in a fault-free run.

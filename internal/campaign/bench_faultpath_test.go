@@ -6,25 +6,22 @@ import (
 	"avgi/internal/cpu"
 )
 
-// The benchmarks below quantify the golden-cursor fault path against the
-// snapshot and legacy-clone paths on the standard windowed campaign shape:
-// a 256-fault register-file list in the paper's AVGI mode (ERT 2000),
-// 4 workers. This is the throughput configuration of real studies — short
-// faulty windows, where per-fault fork overhead dominates — so it is where
-// the cursor's amortized golden replay and dirty-delta copies pay off.
+// The benchmarks below measure the golden-cursor fault path on the standard
+// windowed campaign shape: a 256-fault register-file list in the paper's
+// AVGI mode (ERT 2000), 4 workers. This is the throughput configuration of
+// real studies — short faulty windows, where per-fault fork overhead
+// dominates — so it is where the cursor's amortized golden replay and
+// dirty-delta copies pay off.
 //
-//	go test -run=^$ -bench='CampaignCursor|CampaignWindow|GoldenRun' ./internal/campaign/
+//	go test -run=^$ -bench='CampaignCursor|GoldenRun' ./internal/campaign/
 //
 // Numbers from this machine are recorded in BENCH_faultpath.json at the
 // repo root; the cost model is derived in docs/PERFORMANCE.md.
 
-// benchCampaignRFWindow runs the standard windowed RF campaign under one
-// fork policy and reports end-to-end throughput in faults per second.
-func benchCampaignRFWindow(b *testing.B, policy ForkPolicy) {
+// benchCampaignRFWindow runs the standard windowed RF campaign and reports
+// end-to-end throughput in faults per second.
+func benchCampaignRFWindow(b *testing.B) {
 	r := sharedBenchRunner(b)
-	prev := r.ForkPolicy
-	r.ForkPolicy = policy
-	defer func() { r.ForkPolicy = prev }()
 	const perIter = 256
 	faults := r.FaultList("RF", perIter, 1)
 	b.ResetTimer()
@@ -35,7 +32,7 @@ func benchCampaignRFWindow(b *testing.B, policy ForkPolicy) {
 	b.ReportMetric(float64(perIter*b.N)/b.Elapsed().Seconds(), "faults/s")
 }
 
-func BenchmarkCampaignCursor(b *testing.B) { benchCampaignRFWindow(b, ForkCursor) }
+func BenchmarkCampaignCursor(b *testing.B) { benchCampaignRFWindow(b) }
 
 // BenchmarkCampaignCursorEarlyExit is the cursor campaign with the
 // convergence oracle armed: faults whose corruption is provably erased end
@@ -47,15 +44,11 @@ func BenchmarkCampaignCursorEarlyExit(b *testing.B) {
 	prev := r.EarlyExit
 	r.EarlyExit = true
 	defer func() { r.EarlyExit = prev }()
-	benchCampaignRFWindow(b, ForkCursor)
+	benchCampaignRFWindow(b)
 }
 
-func BenchmarkCampaignWindowSnapshot(b *testing.B) { benchCampaignRFWindow(b, ForkSnapshot) }
-
-func BenchmarkCampaignWindowClone(b *testing.B) { benchCampaignRFWindow(b, ForkLegacyClone) }
-
 // BenchmarkGoldenRun measures bare-core simulation speed in cycles per
-// second — the floor every fork policy's golden advance pays, and the
+// second — the floor the cursor's golden advance pays, and the
 // denominator of the per-fault cost model in docs/PERFORMANCE.md.
 func BenchmarkGoldenRun(b *testing.B) {
 	r := sharedBenchRunner(b)

@@ -11,20 +11,17 @@
 //   - ModeAVGI: stop at the first deviation or at the structure's
 //     effective-residency-time window, whichever is first (Insight 3).
 //
-// All modes share the same checkpointing acceleration, selected by the
-// runner's ForkPolicy. The default (ForkCursor) exploits the cycle-sorted
-// fault list and contiguous worker chunks: each worker's pooled machine is
-// a golden cursor advancing monotonically once through its chunk's cycle
-// span, re-arming a worker-local snapshot at each injection cycle via
-// dirty-delta copies and rewinding from it after the faulty run — golden
-// replay is amortized to once per chunk and per-fault copy cost scales
-// with the fault window's write footprint, not the machine size.
-// ForkSnapshot records interval checkpoints along the golden run into a
-// shared read-only ckpt.Store and rewinds a pooled scratch machine to the
-// nearest checkpoint per fault (re-simulating up to one interval);
-// ForkLegacyClone keeps the original flow — a per-worker golden "mother"
-// machine with a deep clone per fault. All three are proven byte-identical
-// by differential tests; the non-default policies exist as baselines.
+// On a single-core runner all modes share one fork mechanism, the golden
+// cursor (a cluster forks by whole-cluster clone instead). The cursor
+// exploits the cycle-sorted fault list and contiguous worker chunks: each
+// worker's pooled machine advances monotonically once through its chunk's
+// cycle span, re-arming a worker-local snapshot at each injection cycle
+// via dirty-delta copies and rewinding from it after the faulty run —
+// golden replay is amortized to once per chunk and per-fault copy cost
+// scales with the fault window's write footprint, not the machine size.
+// Runner.Reference is the deliberately simple definition both fork paths
+// are checked against: a fresh machine simulated from cycle 0 to the
+// injection cycle, then injected and observed.
 package campaign
 
 import (
@@ -37,7 +34,6 @@ import (
 	"avgi/internal/asm"
 	"avgi/internal/ckpt"
 	"avgi/internal/cpu"
-	"avgi/internal/engine"
 	"avgi/internal/fault"
 	"avgi/internal/forensics"
 	"avgi/internal/imm"
@@ -67,34 +63,6 @@ func (m Mode) String() string {
 		return "avgi"
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
-}
-
-// ForkPolicy selects how a faulty run is forked off the golden prefix.
-type ForkPolicy uint8
-
-const (
-	// ForkCursor (the default) advances each worker's pooled machine
-	// monotonically once through its chunk's cycle span, re-arming a
-	// worker-local snapshot per fault with dirty-delta copies.
-	ForkCursor ForkPolicy = iota
-	// ForkSnapshot seeks a shared interval checkpoint and rewinds a
-	// pooled scratch machine in place per fault.
-	ForkSnapshot
-	// ForkLegacyClone deep-copies a per-worker mother machine per fault
-	// (the pre-checkpoint-subsystem flow, kept as a baseline).
-	ForkLegacyClone
-)
-
-func (p ForkPolicy) String() string {
-	switch p {
-	case ForkCursor:
-		return "cursor"
-	case ForkSnapshot:
-		return "snapshot"
-	case ForkLegacyClone:
-		return "clone"
-	}
-	return fmt.Sprintf("policy(%d)", uint8(p))
 }
 
 // Runaway guard for faulty runs: a corrupted machine can livelock (e.g. a
@@ -193,7 +161,7 @@ type Runner struct {
 	// Cores is the machine shape: 0 or 1 is the single-core Machine, >= 2
 	// the shared-L2 cluster (see cpu.NewCluster). On a cluster, fault
 	// structures carry a core prefix ("c1/RF") and faulty runs fork the
-	// whole cluster by deep clone (the cursor/checkpoint policies are
+	// whole cluster by deep clone (the cursor and checkpoints are
 	// single-core machinery).
 	Cores int
 
@@ -207,11 +175,6 @@ type Runner struct {
 	// CoreGolden holds each core's own golden trace/commits/output on a
 	// cluster runner (nil on single-core).
 	CoreGolden []Golden
-
-	// GoldenEngine is the event-engine telemetry of the golden run
-	// (events fired, per-component tick counts), published with the
-	// golden gauges by PublishGolden.
-	GoldenEngine engine.Stats
 
 	// BitCounts maps structure name to its injectable bit count.
 	BitCounts map[string]uint64
@@ -227,12 +190,9 @@ type Runner struct {
 	// keeps the hot path entirely uninstrumented.
 	Obs *obs.Observer
 
-	// ForkPolicy selects the fork mechanism (default ForkCursor).
-	ForkPolicy ForkPolicy
-
 	// CheckpointInterval is the spacing in cycles between golden-run
-	// checkpoints under ForkCursor/ForkSnapshot; 0 derives it from the
-	// golden length (ckpt.DefaultInterval).
+	// checkpoints (each cursor starts from the one nearest its first
+	// fault); 0 derives it from the golden length (ckpt.DefaultInterval).
 	CheckpointInterval uint64
 
 	// RunawayFactor overrides DefaultRunawayFactor for the faulty-run
@@ -269,8 +229,8 @@ type Runner struct {
 	// campaigns ignore it.
 	EarlyExit bool
 
-	// ckptOnce lazily records the checkpoint store on first snapshot-mode
-	// Run, so legacy-only and fault-list-only uses never pay for it.
+	// ckptOnce lazily records the checkpoint store on the first
+	// single-core Run, so fault-list-only uses never pay for it.
 	ckptOnce sync.Once
 	store    *ckpt.Store
 	pool     *ckpt.Pool
@@ -331,8 +291,7 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 			Commits: res.Commits,
 			Output:  res.Output,
 		},
-		BitCounts:    bits,
-		GoldenEngine: res.Engine,
+		BitCounts: bits,
 	}
 	r.OutputExposure = r.computeExposure(m)
 	return r, nil
@@ -340,7 +299,7 @@ func NewRunner(cfg cpu.Config, p *asm.Program) (*Runner, error) {
 
 // NewRunnerCores performs the golden run for an n-core shared-L2 cluster
 // and prepares the campaign state. cores <= 1 delegates to NewRunner (the
-// single-core Machine with its full fork-policy/checkpoint machinery); a
+// single-core Machine with its cursor/checkpoint machinery); a
 // cluster runner forks faults by whole-cluster clone and validates targets
 // by core-prefixed name ("c1/RF").
 func NewRunnerCores(cfg cpu.Config, p *asm.Program, cores int) (*Runner, error) {
@@ -370,8 +329,7 @@ func NewRunnerCores(cfg cpu.Config, p *asm.Program, cores int) (*Runner, error) 
 			Commits: res.Commits,
 			Output:  res.Output,
 		},
-		BitCounts:    bits,
-		GoldenEngine: res.Engine,
+		BitCounts: bits,
 		// Output-exposure profiling (the ESC predictor's runtime input) is
 		// a single-core analysis; a cluster campaign classifies escapes
 		// from the output diff alone.
@@ -613,8 +571,8 @@ type RunSpec struct {
 // Each fault is simulated under a panic guard: a panicking injection
 // yields a quarantined Result (Quarantined, Err) instead of killing the
 // process, and the panicking worker discards its possibly corrupted
-// machine state — a pooled snapshot machine is dropped rather than
-// recycled, a legacy mother machine is rebuilt from cycle 0. If more than
+// machine state — a pooled cursor machine is dropped rather than recycled,
+// a cluster mother is rebuilt from cycle 0. If more than
 // QuarantineLimit of the freshly simulated faults quarantine, the campaign
 // itself panics with an aggregated error (see DefaultQuarantineLimit).
 func (r *Runner) RunBudgetResume(faults []fault.Fault, mode Mode, ert uint64, budget *Budget, prior map[int]Result, sink ChunkSink) []Result {
@@ -653,12 +611,12 @@ func (r *Runner) RunCampaign(spec RunSpec) (results []Result, skippedFaults int)
 	ro := r.newRunObs(faults, mode, prior)
 	var store *ckpt.Store
 	var pool *ckpt.Pool
-	if r.Cores <= 1 && r.ForkPolicy != ForkLegacyClone {
+	if r.Cores <= 1 {
 		store, pool = r.checkpoints()
 	}
-	// Contiguous chunks keep each worker's forks advancing monotonically
-	// through its cycle-sorted slice (and, under ForkLegacyClone, its
-	// mother machine strictly forward). Chunk geometry depends only on the
+	// Contiguous chunks keep each worker's cursor (or, on a cluster, its
+	// mother cluster) advancing monotonically through its cycle-sorted
+	// slice. Chunk geometry depends only on the
 	// list length and the planned worker count — never on timing — which
 	// is what keeps results byte-identical under any interleaving, across
 	// resumed runs, and across the processes of a distributed campaign.
@@ -816,22 +774,18 @@ func (r *Runner) checkQuarantine(results []Result, prior map[int]Result, skipped
 		q, fresh, limit*100, strings.Join(sample, "; ")))
 }
 
-// forkMeta is the per-fault fork telemetry. Under ForkSnapshot, seekCycles
-// is the checkpoint-to-injection re-simulation distance; under ForkCursor,
-// advCycles is the golden distance the cursor advanced for this fault
-// (amortized replay), deltaBytes the volume moved by the dirty-delta
+// forkMeta is the per-fault fork telemetry. On the cursor path, cowPages
+// counts RAM pages the faulty run privatized copy-on-write, advCycles is
+// the golden distance the cursor advanced for this fault (amortized
+// replay), deltaBytes the volume moved by the dirty-delta
 // snapshot/restore pair, fullSync marks faults that paid a full capture
 // (first fault after a cursor (re)build), and batched marks faults that
 // reused the previous fault's snapshot outright (same injection cycle, no
-// cursor advance, so the restored machine already matches it). Zero under
-// ForkLegacyClone. earlyExit/cyclesSaved carry the window-oracle outcome
-// regardless of policy.
+// cursor advance, so the restored machine already matches it). Zero on a
+// cluster. earlyExit/cyclesSaved carry the window-oracle outcome.
 type forkMeta struct {
-	restored   bool
-	seekCycles uint64
-	cowPages   uint64
-
 	cursor     bool
+	cowPages   uint64
 	advCycles  uint64
 	deltaBytes uint64
 	fullSync   bool
@@ -841,13 +795,12 @@ type forkMeta struct {
 	cyclesSaved uint64
 }
 
-// worker is one dispatch goroutine's simulation state: under
-// ForkCursor/ForkSnapshot a pooled scratch machine rewound per fault,
-// under ForkLegacyClone a golden "mother" machine advancing monotonically
-// and deep-cloned per fault. Machines are acquired lazily so a quarantined
-// worker can discard its poisoned state and transparently pick up a fresh
-// machine for the next fault. The comparator is allocated once per worker
-// and reset per fault.
+// worker is one dispatch goroutine's simulation state: on a single-core
+// runner a pooled cursor machine rewound per fault, on a cluster a golden
+// "mother" cluster advancing monotonically and deep-cloned per fault.
+// Machines are acquired lazily so a quarantined worker can discard its
+// poisoned state and transparently pick up a fresh machine for the next
+// fault. The comparator is allocated once per worker and reset per fault.
 type worker struct {
 	r     *Runner
 	mode  Mode
@@ -856,10 +809,9 @@ type worker struct {
 	store *ckpt.Store
 	pool  *ckpt.Pool
 
-	m        *cpu.Machine  // ForkCursor/ForkSnapshot: pooled scratch machine
-	mother   *cpu.Machine  // ForkLegacyClone: golden-prefix machine
+	m        *cpu.Machine  // pooled cursor machine
+	csnap    *cpu.Snapshot // worker-local fault-point snapshot
 	motherCl *cpu.Cluster  // cluster campaigns: golden-prefix cluster
-	csnap    *cpu.Snapshot // ForkCursor: worker-local fault-point snapshot
 	cmp      trace.Comparator
 }
 
@@ -869,7 +821,7 @@ func (r *Runner) newWorker(mode Mode, ert uint64, store *ckpt.Store, pool *ckpt.
 	return w
 }
 
-// close recycles the worker's scratch machine. A machine discarded by
+// close recycles the worker's cursor machine. A machine discarded by
 // quarantine is nil here and never re-enters the pool.
 func (w *worker) close() {
 	if w.m != nil {
@@ -879,16 +831,15 @@ func (w *worker) close() {
 }
 
 // discard drops all machine state after a recovered panic: the pooled
-// scratch machine must not be recycled (its invariants may be violated in
-// ways a Restore cannot repair — Restore trusts buffer geometry), a cursor
-// worker's local snapshot may have been captured from the poisoned machine
-// and is dropped with it, and the legacy mother is rebuilt from cycle 0 on
-// the next fault.
+// cursor machine must not be recycled (its invariants may be violated in
+// ways a Restore cannot repair — Restore trusts buffer geometry), its
+// local snapshot may have been captured from the poisoned machine and is
+// dropped with it, and a cluster mother is rebuilt from cycle 0 on the
+// next fault.
 func (w *worker) discard() {
 	w.m = nil
-	w.mother = nil
-	w.motherCl = nil
 	w.csnap = nil
+	w.motherCl = nil
 }
 
 // runGuarded simulates one fault under the panic guard, converting a panic
@@ -902,25 +853,13 @@ func (w *worker) runGuarded(f fault.Fault) (res Result, delta cpu.Stats, fm fork
 			w.discard()
 		}
 	}()
-	res, delta, fm = w.run(f)
-	return
-}
-
-// run simulates one fault under the runner's fork policy.
-func (w *worker) run(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 	if w.r.Cores > 1 {
 		// Clusters always fork by whole-cluster clone: the cursor and
 		// checkpoint subsystems capture single-core machine state.
-		return w.runCluster(f)
+		res, delta = w.runCluster(f)
+		return res, delta, forkMeta{}
 	}
-	switch w.r.ForkPolicy {
-	case ForkSnapshot:
-		return w.runSnapshot(f)
-	case ForkLegacyClone:
-		return w.runLegacy(f)
-	default:
-		return w.runCursor(f)
-	}
+	return w.runCursor(f)
 }
 
 // runCursor is the golden-cursor flow: the worker's pooled machine plays
@@ -928,8 +867,8 @@ func (w *worker) run(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 // fault it advances to the injection cycle, re-arms the worker-local
 // snapshot with a dirty-delta capture, runs the faulty simulation, and
 // rewinds with a dirty-delta restore — two in-place copies of the fault
-// window's write footprint replace the full-image restore plus up to one
-// interval of golden re-simulation that ForkSnapshot pays per fault.
+// window's write footprint instead of a full-image restore plus golden
+// re-simulation per fault.
 func (w *worker) runCursor(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 	r := w.r
 	if w.m == nil {
@@ -971,13 +910,12 @@ func (w *worker) runCursor(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 		batched = true
 	}
 	cowBase := m.Mem.RAM.CowPrivatized()
-	res, delta, wm := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp)
+	res, delta, wm := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp, r.EarlyExit)
 	cow := m.Mem.RAM.CowPrivatized() - cowBase
 	deltaBytes += m.SyncRestore(w.csnap)
 	return res, delta, forkMeta{
-		restored:    true,
-		cowPages:    cow,
 		cursor:      true,
+		cowPages:    cow,
 		advCycles:   adv,
 		deltaBytes:  deltaBytes,
 		fullSync:    fullSync,
@@ -987,54 +925,11 @@ func (w *worker) runCursor(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 	}
 }
 
-// runSnapshot is the shared-checkpoint flow: seek the nearest checkpoint
-// at or before the injection cycle, rewind the pooled scratch machine in
-// place, and re-simulate at most one interval.
-func (w *worker) runSnapshot(f fault.Fault) (Result, cpu.Stats, forkMeta) {
-	r := w.r
-	if w.m == nil {
-		m, reused := w.pool.Get()
-		w.m = m
-		w.ro.poolGet(reused)
-	}
-	m := w.m
-	snap, dist := w.store.Seek(f.Cycle)
-	m.Restore(snap)
-	cowBase := m.Mem.RAM.CowPrivatized()
-	if dist > 0 && m.Status() == cpu.StatusRunning {
-		m.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
-	}
-	res, delta, wm := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp)
-	return res, delta, forkMeta{
-		restored:    true,
-		seekCycles:  dist,
-		cowPages:    m.Mem.RAM.CowPrivatized() - cowBase,
-		earlyExit:   wm.earlyExit,
-		cyclesSaved: wm.cyclesSaved,
-	}
-}
-
-// runLegacy is the original flow: a private mother machine advances to
-// each injection cycle and is deep-cloned per fault.
-func (w *worker) runLegacy(f fault.Fault) (Result, cpu.Stats, forkMeta) {
-	r := w.r
-	if w.mother == nil {
-		w.mother = cpu.New(r.Cfg, r.Prog)
-	}
-	mother := w.mother
-	if mother.Cycle() < f.Cycle && mother.Status() == cpu.StatusRunning {
-		mother.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
-	}
-	m := mother.Clone()
-	res, delta, wm := r.injectAndObserve(m, f, w.mode, w.ert, &w.cmp)
-	return res, delta, forkMeta{earlyExit: wm.earlyExit, cyclesSaved: wm.cyclesSaved}
-}
-
-// runCluster is the multi-core flow, shaped like runLegacy: a per-worker
-// golden mother cluster advances monotonically through the chunk's
-// cycle-sorted faults and is deep-cloned per fault (the shared memory spine
-// is cloned once per fault, every core rebound onto it).
-func (w *worker) runCluster(f fault.Fault) (Result, cpu.Stats, forkMeta) {
+// runCluster is the multi-core flow: a per-worker golden mother cluster
+// advances monotonically through the chunk's cycle-sorted faults and is
+// deep-cloned per fault (the shared memory spine is cloned once per fault,
+// every core rebound onto it).
+func (w *worker) runCluster(f fault.Fault) (Result, cpu.Stats) {
 	r := w.r
 	if w.motherCl == nil {
 		w.motherCl = cpu.NewCluster(r.Cfg, r.Prog, r.Cores)
@@ -1043,9 +938,30 @@ func (w *worker) runCluster(f fault.Fault) (Result, cpu.Stats, forkMeta) {
 	if mother.Cycle() < f.Cycle && mother.Status() == cpu.StatusRunning {
 		mother.Run(cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1})
 	}
-	cl := mother.Clone()
-	res, delta := r.injectAndObserveCluster(cl, f, w.mode, w.ert, &w.cmp)
-	return res, delta, forkMeta{}
+	return r.injectAndObserveCluster(mother.Clone(), f, w.mode, w.ert, &w.cmp)
+}
+
+// Reference is the plain definition of one fault's result, against which
+// the campaign's cursor (and cluster clone) paths are checked: a fresh
+// machine — or a fresh cluster when Cores > 1 — is simulated from cycle 0
+// to f.Cycle, then injected and observed under mode with the given window
+// (ModeAVGI only). No pool, cursor, delta tracking or early exit is
+// involved; with EarlyExit on, the campaign's results may differ from it
+// only in SimCycles. Reference does not recover panics.
+func (r *Runner) Reference(f fault.Fault, mode Mode, window uint64) Result {
+	stop := cpu.RunOptions{StopAtCycle: f.Cycle, MaxCycles: r.Golden.Cycles + 1}
+	var cmp trace.Comparator
+	if r.Cores > 1 {
+		cl := cpu.NewCluster(r.Cfg, r.Prog, r.Cores)
+		cl.Run(stop)
+		res, _ := r.injectAndObserveCluster(cl, f, mode, window, &cmp)
+		return res
+	}
+	m := cpu.New(r.Cfg, r.Prog)
+	m.Run(stop)
+	cmp.Golden = r.Golden.Trace
+	res, _, _ := r.injectAndObserve(m, f, mode, window, &cmp, false)
+	return res
 }
 
 // winMeta is the per-fault window-oracle telemetry: whether the early-exit
@@ -1059,54 +975,31 @@ type winMeta struct {
 
 // injectAndObserve flips the fault's bits on a machine positioned at the
 // injection cycle and observes the outcome under mode — the half of the
-// per-fault flow shared by all fork policies. cmp is the caller's
+// per-fault flow shared by the cursor and Reference. cmp is the caller's
 // comparator, reset and rearmed here so a worker allocates one comparator
-// for its whole chunk instead of one per fault. The second return value is
-// the faulty run's own contribution to the machine statistics (post-fork
+// for its whole chunk instead of one per fault. earlyExit arms the
+// convergence oracle on ModeAVGI faults. The second return value is the
+// faulty run's own contribution to the machine statistics (post-fork
 // delta), consumed by the telemetry layer.
-func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert uint64, cmp *trace.Comparator) (Result, cpu.Stats, winMeta) {
+func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert uint64, cmp *trace.Comparator, earlyExit bool) (Result, cpu.Stats, winMeta) {
 	statsAtFork := m.Stats
-	tg := m.Target(f.Structure)
-	if tg == nil {
-		panic("campaign: unknown structure " + f.Structure)
-	}
-	// Width > 1 models a spatial multi-bit upset: adjacent bits of the
-	// same array flip together (Section VII.A). The range must lie inside
-	// the array — wrapping to bit 0 would flip a non-neighbour, so a
-	// fault list that allows it is a programming error (fault.ListMultiBit
-	// caps start bits at bitCount-width).
-	width := uint64(f.Bits())
-	if f.Bit+width > tg.BitCount() {
-		panic(fmt.Sprintf("campaign: fault %s wraps past the end of %s (%d bits)",
-			f, f.Structure, tg.BitCount()))
-	}
-	for i := uint64(0); i < width; i++ {
-		tg.FlipBit(f.Bit + i)
-	}
+	width := flip(m.Target(f.Structure), f)
 	// The fate probe is armed after the flip and cleared before this
 	// function returns, so the fork machinery around it (worker-local
 	// sync snapshots before, restores after) never observes one. Under
 	// the early-exit oracle every ModeAVGI fault is probed (one probe
 	// serves both the oracle and, when sampled, forensics attribution).
 	forens := r.forensicsOn(f)
-	oracle := r.EarlyExit && mode == ModeAVGI
+	oracle := earlyExit && mode == ModeAVGI
 	var probe *cpu.FaultProbe
 	if forens || oracle {
-		probe = m.ArmProbe(f.Structure, f.Bit, int(width))
+		probe = m.ArmProbe(f.Structure, f.Bit, width)
 	}
 	if oracle && probe != nil {
 		probe.EnableConvergenceStop()
 	}
 
-	cmp.Reset()
-	cmp.StartAt(int(m.Stats.Commits))
-	switch mode {
-	case ModeHVF:
-		cmp.StopAtFirst = true
-	case ModeAVGI:
-		cmp.StopAtFirst = true
-		cmp.StopCycle = f.Cycle + ert
-	}
+	armComparator(cmp, m.Stats.Commits, f, mode, ert)
 	m.SetSink(cmp)
 	res := m.Run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
 
@@ -1123,6 +1016,96 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 		}
 	}
 
+	out := r.classify(f, mode, res, cmp.Dev)
+	if probe != nil {
+		m.ClearProbe()
+		// An oracle-probed but unsampled fault carries no record, so
+		// Results are identical whether or not the oracle was on.
+		// Attribution itself is truncation-proof: a converged probe has
+		// every site dead, so no further event could have amended the
+		// facts in the cycles the exit skipped.
+		if forens {
+			out.Forensics = attribute(probe, &out, cmp.Dev)
+		}
+	}
+	return out, statsDelta(m.Stats, statsAtFork), wm
+}
+
+// injectAndObserveCluster is injectAndObserve for a cluster fault: the
+// structure name carries the injected core's prefix ("c1/RF"), the commit
+// comparator watches the injected core against that core's own golden
+// trace, and the final-output classification compares the whole cluster's
+// concatenated output — which is exactly what lets a fault in c0's shared
+// L2 lines manifest as an SDC or escape in c1's section of the output.
+func (r *Runner) injectAndObserveCluster(cl *cpu.Cluster, f fault.Fault, mode Mode, ert uint64, cmp *trace.Comparator) (Result, cpu.Stats) {
+	core, base, ok := cpu.SplitCoreTarget(f.Structure)
+	if !ok || core >= cl.Cores() {
+		panic(fmt.Sprintf("campaign: cluster fault structure %q needs a c<k>/ prefix with k < %d",
+			f.Structure, cl.Cores()))
+	}
+	m := cl.Core(core)
+	statsAtFork := m.Stats
+	width := flip(cl.Target(f.Structure), f)
+	var probe *cpu.FaultProbe
+	if r.forensicsOn(f) {
+		probe = m.ArmProbe(base, f.Bit, width)
+	}
+
+	// The comparator is re-aimed at the injected core's golden trace;
+	// Reset keeps the Golden slice, so re-aim first.
+	cmp.Golden = r.CoreGolden[core].Trace
+	armComparator(cmp, m.Stats.Commits, f, mode, ert)
+	cl.SetSink(core, cmp)
+	res := cl.Run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
+
+	out := r.classify(f, mode, res, cmp.Dev)
+	if probe != nil {
+		m.ClearProbe()
+		out.Forensics = attribute(probe, &out, cmp.Dev)
+	}
+	return out, statsDelta(m.Stats, statsAtFork)
+}
+
+// flip applies the fault's bits to tg and returns the fault's width.
+// Width > 1 models a spatial multi-bit upset: adjacent bits of the same
+// array flip together (Section VII.A). The range must lie inside the
+// array — wrapping to bit 0 would flip a non-neighbour, so a fault list
+// that allows it is a programming error (fault.ListMultiBit caps start
+// bits at bitCount-width).
+func flip(tg cpu.Target, f fault.Fault) int {
+	if tg == nil {
+		panic("campaign: unknown structure " + f.Structure)
+	}
+	width := uint64(f.Bits())
+	if f.Bit+width > tg.BitCount() {
+		panic(fmt.Sprintf("campaign: fault %s wraps past the end of %s (%d bits)",
+			f, f.Structure, tg.BitCount()))
+	}
+	for i := uint64(0); i < width; i++ {
+		tg.FlipBit(f.Bit + i)
+	}
+	return int(width)
+}
+
+// armComparator resets cmp for a faulty run whose first commit is golden
+// commit index start, with the stop rule of mode.
+func armComparator(cmp *trace.Comparator, start uint64, f fault.Fault, mode Mode, ert uint64) {
+	cmp.Reset()
+	cmp.StartAt(int(start))
+	switch mode {
+	case ModeHVF:
+		cmp.StopAtFirst = true
+	case ModeAVGI:
+		cmp.StopAtFirst = true
+		cmp.StopCycle = f.Cycle + ert
+	}
+}
+
+// classify turns a finished faulty run into the fault's Result: a
+// commit-trace deviation is classified by IMM class, a clean stop is
+// Benign, and any other ending is decided by how the run died and what
+// output it produced.
+func (r *Runner) classify(f fault.Fault, mode Mode, res cpu.Result, dev trace.Deviation) Result {
 	crashed := res.Status == cpu.StatusCrashed || res.Status == cpu.StatusCycleLimit
 	produced := res.Status == cpu.StatusHalted
 	matches := produced && bytes.Equal(res.Output, r.Golden.Output)
@@ -1138,12 +1121,12 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 		Runaway: res.Status == cpu.StatusCycleLimit,
 	}
 	switch {
-	case cmp.Dev.Kind != trace.DevNone:
+	case dev.Kind != trace.DevNone:
 		out.Manifested = true
-		if cmp.Dev.Cycle > f.Cycle {
-			out.ManifestLatency = cmp.Dev.Cycle - f.Cycle
+		if dev.Cycle > f.Cycle {
+			out.ManifestLatency = dev.Cycle - f.Cycle
 		}
-		out.IMM = imm.Classify(imm.Inputs{Dev: cmp.Dev, Variant: r.Cfg.Variant})
+		out.IMM = imm.Classify(imm.Inputs{Dev: dev, Variant: r.Cfg.Variant})
 	case res.Status == cpu.StatusStopped:
 		// The ERT window expired with a clean commit trace — either at
 		// the full horizon or because the convergence oracle proved the
@@ -1168,135 +1151,32 @@ func (r *Runner) injectAndObserve(m *cpu.Machine, f fault.Fault, mode Mode, ert 
 		out.Effect = imm.FinalEffect(crashed, produced, matches)
 		out.HasEffect = true
 	}
-	if probe != nil {
-		m.ClearProbe()
-		if forens {
-			oc := forensics.Outcome{
-				Visible:         out.Manifested,
-				ManifestLatency: out.ManifestLatency,
-				Dev:             cmp.Dev,
-			}
-			if out.IMM == imm.ESC {
-				// An escape through a dirty line is architecturally visible
-				// in the program output even though the commit trace never
-				// deviates; the whole post-injection run is its latency.
-				oc.Visible = true
-				oc.Escaped = true
-				oc.ManifestLatency = out.SimCycles
-			}
-			// An oracle-probed but unsampled fault carries no record, so
-			// Results are identical whether or not the oracle was on.
-			// Attribution itself is truncation-proof: a converged probe has
-			// every site dead, so no further event could have amended the
-			// facts in the cycles the exit skipped.
-			rec := forensics.Attribute(probe.Facts(), oc)
-			out.Forensics = &rec
-		}
-	}
-	return out, statsDelta(m.Stats, statsAtFork), wm
+	return out
 }
 
-// injectAndObserveCluster is injectAndObserve for a cluster fault: the
-// structure name carries the injected core's prefix ("c1/RF"), the commit
-// comparator watches the injected core against that core's own golden
-// trace, and the final-output classification compares the whole cluster's
-// concatenated output — which is exactly what lets a fault in c0's shared
-// L2 lines manifest as an SDC or escape in c1's section of the output.
-func (r *Runner) injectAndObserveCluster(cl *cpu.Cluster, f fault.Fault, mode Mode, ert uint64, cmp *trace.Comparator) (Result, cpu.Stats) {
-	core, base, ok := cpu.SplitCoreTarget(f.Structure)
-	if !ok || core >= cl.Cores() {
-		panic(fmt.Sprintf("campaign: cluster fault structure %q needs a c<k>/ prefix with k < %d",
-			f.Structure, cl.Cores()))
+// attribute builds the forensics record of a probed fault from the probe's
+// facts and the fault's classified outcome.
+func attribute(probe *cpu.FaultProbe, out *Result, dev trace.Deviation) *forensics.Record {
+	oc := forensics.Outcome{
+		Visible:         out.Manifested,
+		ManifestLatency: out.ManifestLatency,
+		Dev:             dev,
 	}
-	m := cl.Core(core)
-	statsAtFork := m.Stats
-	tg := cl.Target(f.Structure)
-	if tg == nil {
-		panic("campaign: unknown structure " + f.Structure)
+	if out.IMM == imm.ESC {
+		// An escape through a dirty line is architecturally visible in
+		// the program output even though the commit trace never
+		// deviates; the whole post-injection run is its latency.
+		oc.Visible = true
+		oc.Escaped = true
+		oc.ManifestLatency = out.SimCycles
 	}
-	width := uint64(f.Bits())
-	if f.Bit+width > tg.BitCount() {
-		panic(fmt.Sprintf("campaign: fault %s wraps past the end of %s (%d bits)",
-			f, f.Structure, tg.BitCount()))
-	}
-	for i := uint64(0); i < width; i++ {
-		tg.FlipBit(f.Bit + i)
-	}
-	var probe *cpu.FaultProbe
-	if r.forensicsOn(f) {
-		probe = m.ArmProbe(base, f.Bit, int(width))
-	}
-
-	// The worker's one comparator is re-aimed at the injected core's golden
-	// trace; Reset keeps the Golden slice, so re-aim first.
-	cmp.Golden = r.CoreGolden[core].Trace
-	cmp.Reset()
-	cmp.StartAt(int(m.Stats.Commits))
-	switch mode {
-	case ModeHVF:
-		cmp.StopAtFirst = true
-	case ModeAVGI:
-		cmp.StopAtFirst = true
-		cmp.StopCycle = f.Cycle + ert
-	}
-	cl.SetSink(core, cmp)
-	res := cl.Run(cpu.RunOptions{MaxCycles: r.RunawayLimit()})
-
-	crashed := res.Status == cpu.StatusCrashed || res.Status == cpu.StatusCycleLimit
-	produced := res.Status == cpu.StatusHalted
-	matches := produced && bytes.Equal(res.Output, r.Golden.Output)
-
-	out := Result{
-		Fault:     f,
-		SimCycles: res.Cycles - f.Cycle,
-		Crash:     res.Crash,
-		Runaway:   res.Status == cpu.StatusCycleLimit,
-	}
-	switch {
-	case cmp.Dev.Kind != trace.DevNone:
-		out.Manifested = true
-		if cmp.Dev.Cycle > f.Cycle {
-			out.ManifestLatency = cmp.Dev.Cycle - f.Cycle
-		}
-		out.IMM = imm.Classify(imm.Inputs{Dev: cmp.Dev, Variant: r.Cfg.Variant})
-	case res.Status == cpu.StatusStopped:
-		out.IMM = imm.Benign
-	default:
-		out.IMM = imm.Classify(imm.Inputs{
-			Crashed:        crashed,
-			OutputProduced: produced,
-			OutputMatches:  matches,
-		})
-		if out.IMM == imm.PRE {
-			out.Manifested = true
-			out.ManifestLatency = res.Cycles - f.Cycle
-		}
-	}
-	if mode == ModeExhaustive {
-		out.Effect = imm.FinalEffect(crashed, produced, matches)
-		out.HasEffect = true
-	}
-	if probe != nil {
-		m.ClearProbe()
-		oc := forensics.Outcome{
-			Visible:         out.Manifested,
-			ManifestLatency: out.ManifestLatency,
-			Dev:             cmp.Dev,
-		}
-		if out.IMM == imm.ESC {
-			oc.Visible = true
-			oc.Escaped = true
-			oc.ManifestLatency = out.SimCycles
-		}
-		rec := forensics.Attribute(probe.Facts(), oc)
-		out.Forensics = &rec
-	}
-	return out, statsDelta(m.Stats, statsAtFork)
+	rec := forensics.Attribute(probe.Facts(), oc)
+	return &rec
 }
 
 // forensicsOn reports whether this fault is in the forensics sample. The
 // stride keys off the fault's stable ID, so the sampled set is identical
-// across resumes, fork policies and worker layouts.
+// across resumes, Reference runs and worker layouts.
 func (r *Runner) forensicsOn(f fault.Fault) bool {
 	if r.Forensics == nil {
 		return false

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -12,13 +13,116 @@ import (
 	"avgi/internal/prog"
 )
 
-// TestForkPolicyDifferential is the correctness bar of the fork-path
-// machinery at the campaign level: the same fault lists run through the
-// cursor path, the snapshot path and the legacy clone path must produce
-// bit-identical results — IMM labels, final effects, manifestation
-// latencies, simulated cycles and crash kinds — on a ≥500-fault RF+L1D
-// campaign, on both machine variants.
-func TestForkPolicyDifferential(t *testing.T) {
+// referenceDifferential is the correctness bar of the campaign's fork
+// machinery: every fault of a campaign run through the production path
+// (the golden cursor, or the cluster clone on a multi-core runner) must
+// equal Runner.Reference's result for it — every Result field with early
+// exit off and, in ModeAVGI, every field except SimCycles with it on. It
+// samples n faults per structure and returns the number of corruptions
+// seen, so callers can check the comparison was not vacuous. Two workers
+// keep the chunks long, so each cursor (or mother cluster) carries its
+// state across several faults.
+func referenceDifferential(t *testing.T, r *Runner, structures []string, n int, mode Mode, window uint64) int {
+	t.Helper()
+	corruptions := 0
+	for _, structure := range structures {
+		corruptions += checkAgainstReference(t, r, r.FaultList(structure, n, 7), mode, window, 2)
+	}
+	return corruptions
+}
+
+// checkAgainstReference runs faults as one campaign on the given number of
+// workers and compares every result with Reference's, as described on
+// referenceDifferential.
+func checkAgainstReference(t *testing.T, r *Runner, faults []fault.Fault, mode Mode, window uint64, workers int) int {
+	t.Helper()
+	want := make([]Result, len(faults))
+	for i, f := range faults {
+		want[i] = r.Reference(f, mode, window)
+	}
+	for _, early := range []bool{false, true} {
+		if early && mode != ModeAVGI {
+			continue
+		}
+		r.EarlyExit = early
+		got := r.Run(faults, mode, window, workers)
+		for i := range got {
+			g, w := got[i], want[i]
+			if early {
+				g, w = stripSimCycles(g), stripSimCycles(w)
+			}
+			if g != w {
+				t.Fatalf("%v %s fault %d (early exit %v) diverged from Reference:\n  campaign  %+v\n  reference %+v",
+					mode, faults[i].Structure, i, early, got[i], want[i])
+			}
+		}
+	}
+	r.EarlyExit = false
+	return Summarize(want).Corruptions
+}
+
+// TestReferenceDifferential checks the cursor against Reference in
+// exhaustive mode — the mode whose faulty runs go furthest past the fork,
+// so any state the cursor's dirty-delta restore failed to rewind shows up
+// in the final output — over all 12 structures on both machine variants.
+func TestReferenceDifferential(t *testing.T) {
+	n := 8
+	if testing.Short() {
+		n = 3
+	}
+	for _, cfg := range []cpu.Config{cpu.ConfigA72(), cpu.ConfigA15()} {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			t.Parallel()
+			r := newTestRunner(t, cfg, "sha")
+			if referenceDifferential(t, r, cpu.StructureNames, n, ModeExhaustive, 0) == 0 {
+				t.Error("no fault corrupted anything; the differential compared only benign runs")
+			}
+		})
+	}
+}
+
+// TestReferenceDifferentialAVGIMode repeats the differential under the
+// windowed AVGI mode, whose early stops (and convergence early exits) are
+// the most timing-sensitive consumers of the restored state, and under HVF
+// mode, whose stop-at-first-deviation exits mid-window.
+func TestReferenceDifferentialAVGIMode(t *testing.T) {
+	n := 8
+	if testing.Short() {
+		n = 3
+	}
+	for _, cfg := range []cpu.Config{cpu.ConfigA72(), cpu.ConfigA15()} {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			t.Parallel()
+			r := newTestRunner(t, cfg, "sha")
+			for _, tc := range []struct {
+				mode   Mode
+				window uint64
+			}{
+				{ModeAVGI, 2000},
+				{ModeHVF, 0},
+			} {
+				if referenceDifferential(t, r, cpu.StructureNames, n, tc.mode, tc.window) == 0 {
+					t.Errorf("%v: no fault corrupted anything", tc.mode)
+				}
+			}
+		})
+	}
+}
+
+// TestReferenceDifferentialLargeSample keeps the fork differential's
+// original sample sizes on the structures it has always covered: 256 RF
+// and 256 L1D (Data) faults per config in exhaustive mode and 60 RF faults
+// in AVGI and HVF mode, on 4 workers. Those chunks run 64 and 15 faults
+// long, so state a cursor's dirty-delta restore leaks from one fault into
+// the next has many later faults in which to show. The race detector
+// makes this sample too slow for the race job, which runs the 12-structure
+// sweeps above instead; this test runs in the plain test job.
+func TestReferenceDifferentialLargeSample(t *testing.T) {
+	if raceEnabled {
+		t.Skip("too slow under the race detector; runs without -race")
+	}
 	perStructure := 256
 	if testing.Short() {
 		perStructure = 40
@@ -27,89 +131,74 @@ func TestForkPolicyDifferential(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
-			w, err := prog.ByName("sha")
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := NewRunner(cfg, w.Build(cfg.Variant))
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := newTestRunner(t, cfg, "sha")
+			corruptions := 0
 			for _, structure := range []string{"RF", "L1D (Data)"} {
-				faults := r.FaultList(structure, perStructure, 7)
-
-				r.ForkPolicy = ForkLegacyClone
-				legacy := r.Run(faults, ModeExhaustive, 0, 4)
-				for _, policy := range []ForkPolicy{ForkCursor, ForkSnapshot} {
-					r.ForkPolicy = policy
-					got := r.Run(faults, ModeExhaustive, 0, 4)
-					for i := range got {
-						if got[i] != legacy[i] {
-							t.Fatalf("%s fault %d diverged under %v:\n  %v %+v\n  clone %+v",
-								structure, i, policy, policy, got[i], legacy[i])
-						}
-					}
-				}
+				corruptions += checkAgainstReference(t, r, r.FaultList(structure, perStructure, 7), ModeExhaustive, 0, 4)
+			}
+			corruptions += checkAgainstReference(t, r, r.FaultList("RF", 60, 3), ModeAVGI, 2000, 4)
+			corruptions += checkAgainstReference(t, r, r.FaultList("RF", 60, 3), ModeHVF, 0, 4)
+			if corruptions == 0 {
+				t.Error("no fault corrupted anything; the differential compared only benign runs")
 			}
 		})
 	}
 }
 
-// TestForkPolicyDifferentialAVGIMode repeats the three-way differential
-// check under the windowed AVGI mode, whose early stops are the most
-// timing-sensitive consumers of the restored state, and under HVF mode,
-// whose stop-at-first-deviation exits mid-window.
-func TestForkPolicyDifferentialAVGIMode(t *testing.T) {
-	r := shaRunner(t)
-	for _, tc := range []struct {
-		mode Mode
-		ert  uint64
-	}{
-		{ModeAVGI, 2000},
-		{ModeHVF, 0},
-	} {
-		faults := r.FaultList("RF", 60, 3)
-		r.ForkPolicy = ForkLegacyClone
-		legacy := r.Run(faults, tc.mode, tc.ert, 4)
-		for _, policy := range []ForkPolicy{ForkCursor, ForkSnapshot} {
-			r.ForkPolicy = policy
-			got := r.Run(faults, tc.mode, tc.ert, 4)
-			for i := range got {
-				if got[i] != legacy[i] {
-					t.Fatalf("%v fault %d diverged under %v: %+v vs clone %+v",
-						tc.mode, i, policy, got[i], legacy[i])
-				}
-			}
-		}
+// TestReferenceDifferentialCluster checks the 2-core cluster's clone fork
+// against Reference in all three modes, injecting every structure, on
+// alternating cores.
+func TestReferenceDifferentialCluster(t *testing.T) {
+	n := 6
+	if testing.Short() {
+		n = 2
+	}
+	cfg := cpu.ConfigA72()
+	w, err := prog.ByName("sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunnerCores(cfg, w.Build(cfg.Variant), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var structures []string
+	for i, s := range cpu.StructureNames {
+		structures = append(structures, fmt.Sprintf("c%d/%s", i%2, s))
+	}
+	corruptions := referenceDifferential(t, r, structures, n, ModeExhaustive, 0)
+	corruptions += referenceDifferential(t, r, structures, n, ModeHVF, 0)
+	corruptions += referenceDifferential(t, r, structures, n, ModeAVGI, 2000)
+	if corruptions == 0 {
+		t.Error("no cluster fault corrupted anything")
 	}
 }
 
-// TestForkCursorResumeDifferential proves the cursor path stays
-// byte-identical to the legacy clone path across a journal-style resume:
-// prior results covering a whole chunk, chunk heads and scattered
-// mid-chunk faults are handed to RunBudgetResume, so cursor workers skip
-// arbitrary faults inside their chunks, and every freshly simulated result
-// must still equal the uninterrupted clone campaign's.
+// TestForkCursorResumeDifferential proves the cursor path stays equal to
+// Reference across a journal-style resume: prior results covering a whole
+// chunk, chunk heads and scattered mid-chunk faults are handed to
+// RunBudgetResume, so cursor workers skip arbitrary faults inside their
+// chunks, and every freshly simulated result must still equal Reference.
 func TestForkCursorResumeDifferential(t *testing.T) {
 	r := shaRunner(t)
 	faults := r.FaultList("RF", 64, 11)
-	r.ForkPolicy = ForkLegacyClone
-	legacy := r.Run(faults, ModeAVGI, 2000, 4)
-
-	r.ForkPolicy = ForkCursor
+	want := make([]Result, len(faults))
+	for i, f := range faults {
+		want[i] = r.Reference(f, ModeAVGI, 2000)
+	}
 	// 64 faults / 4 workers = 16-fault chunks: indices 0-15 cover chunk 0
 	// entirely (the allPrior fast path); i%5 scatters holes through the
 	// remaining chunks.
 	prior := make(map[int]Result)
 	for i := range faults {
 		if i < 16 || i%5 == 0 {
-			prior[i] = legacy[i]
+			prior[i] = want[i]
 		}
 	}
 	resumed := r.RunBudgetResume(faults, ModeAVGI, 2000, NewBudget(4), prior, nil)
 	for i := range resumed {
-		if resumed[i] != legacy[i] {
-			t.Fatalf("fault %d diverged after resume: %+v vs clone %+v", i, resumed[i], legacy[i])
+		if resumed[i] != want[i] {
+			t.Fatalf("fault %d diverged after resume: %+v vs Reference %+v", i, resumed[i], want[i])
 		}
 	}
 }
@@ -227,40 +316,40 @@ func TestCheckpointIntervalConfig(t *testing.T) {
 	}
 }
 
-// TestCkptMetricsPublished drives an observed snapshot-mode campaign and
-// checks the checkpoint telemetry lands in the registry.
+// TestCkptMetricsPublished drives an observed cursor campaign and checks
+// the checkpoint and cursor telemetry lands in the registry.
 func TestCkptMetricsPublished(t *testing.T) {
 	r := shaRunner(t)
 	r.Obs = obs.New(io.Discard)
-	// Pin the snapshot policy: its per-fault seek/restore accounting is
-	// what this test asserts (the cursor path seeks once per worker).
-	r.ForkPolicy = ForkSnapshot
 
 	const n = 32
 	faults := r.FaultList("RF", n, 1)
 	r.Run(faults, ModeExhaustive, 0, 4)
 
 	lb := map[string]string{"structure": "RF", "workload": "sha", "mode": "exhaustive"}
-	restores := r.Obs.Metrics.Counter("avgi_ckpt_restores_total", "", lb).Value()
-	if restores != n {
-		t.Errorf("restores_total = %d, want %d", restores, n)
+	counter := func(name string) uint64 { return r.Obs.Metrics.Counter(name, "", lb).Value() }
+	// Every cursor fault rewinds to its fault-point snapshot once.
+	if got := counter("avgi_ckpt_restores_total"); got != n {
+		t.Errorf("restores_total = %d, want %d", got, n)
 	}
-	var wantSeek uint64
-	for _, f := range faults {
-		_, dist := r.store.Seek(f.Cycle)
-		wantSeek += dist
-	}
-	if got := r.Obs.Metrics.Counter("avgi_ckpt_seek_cycles_total", "", lb).Value(); got != wantSeek {
-		t.Errorf("seek_cycles_total = %d, want %d", got, wantSeek)
-	}
-	if got := r.Obs.Metrics.Counter("avgi_ckpt_cow_pages_total", "", lb).Value(); got == 0 {
+	if got := counter("avgi_ckpt_cow_pages_total"); got == 0 {
 		t.Error("cow_pages_total = 0; faulty runs never privatized a page")
+	}
+	// Each of the 4 workers builds its cursor once and pays one full
+	// local capture; the advance never passes the last fault's cycle.
+	if got := counter("avgi_cursor_full_syncs_total"); got != 4 {
+		t.Errorf("cursor_full_syncs_total = %d, want 4", got)
+	}
+	if got := counter("avgi_cursor_advance_cycles_total"); got == 0 || got > faults[n-1].Cycle {
+		t.Errorf("cursor_advance_cycles_total = %d, want in (0, %d]", got, faults[n-1].Cycle)
+	}
+	if got := counter("avgi_cursor_delta_bytes_total"); got == 0 {
+		t.Error("cursor_delta_bytes_total = 0")
 	}
 
 	pl := map[string]string{"workload": "sha", "mode": "exhaustive"}
-	gets := r.Obs.Metrics.Counter("avgi_ckpt_pool_gets_total", "", pl).Value()
-	if gets == 0 {
-		t.Error("pool_gets_total = 0")
+	if gets := r.Obs.Metrics.Counter("avgi_ckpt_pool_gets_total", "", pl).Value(); gets != 4 {
+		t.Errorf("pool_gets_total = %d, want one per worker (4)", gets)
 	}
 
 	gl := map[string]string{"workload": "sha", "machine": r.Cfg.Name}
@@ -270,12 +359,19 @@ func TestCkptMetricsPublished(t *testing.T) {
 	if v := r.Obs.Metrics.Gauge("avgi_ckpt_snapshot_bytes", "", gl).Value(); uint64(v) != r.store.Bytes() {
 		t.Errorf("snapshot_bytes gauge = %v, want %d", v, r.store.Bytes())
 	}
+	if v := r.Obs.Metrics.Gauge("avgi_ckpt_interval_cycles", "", gl).Value(); uint64(v) != r.store.Interval() {
+		t.Errorf("interval_cycles gauge = %v, want %d", v, r.store.Interval())
+	}
 
-	// Pool reuse across campaigns: a second Run on the same runner checks
-	// machines back out of the pool.
-	r.Run(faults, ModeExhaustive, 0, 4)
-	reuse := r.Obs.Metrics.Counter("avgi_ckpt_pool_reuse_total", "", pl).Value()
-	if reuse == 0 {
-		t.Error("pool_reuse_total = 0 after second campaign")
+	// Pool reuse across campaigns: a later Run on the same runner checks
+	// machines back out of the pool. sync.Pool may drop any Put (under the
+	// race detector it drops a quarter of them on purpose), so allow a few
+	// campaigns for one recycled checkout.
+	reuse := r.Obs.Metrics.Counter("avgi_ckpt_pool_reuse_total", "", pl)
+	for i := 0; i < 4 && reuse.Value() == 0; i++ {
+		r.Run(faults, ModeExhaustive, 0, 4)
+	}
+	if reuse.Value() == 0 {
+		t.Error("pool_reuse_total = 0 after four more campaigns")
 	}
 }

@@ -237,7 +237,6 @@ func TestEarlyExitMetricsPublished(t *testing.T) {
 func TestCursorBatchingSameCycle(t *testing.T) {
 	r := shaRunner(t)
 	r.Obs = obs.New(io.Discard)
-	r.ForkPolicy = ForkCursor
 
 	cyc := r.FaultList("RF", 1, 5)[0].Cycle
 	faults := make([]fault.Fault, 6)

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"testing"
 
 	"avgi/internal/cpu"
@@ -87,31 +88,30 @@ func TestForensicsSampleStride(t *testing.T) {
 }
 
 // With forensics off the results must be byte-identical to a forensics-on
-// campaign with the attribution stripped, across fork policies: the probe
-// is observation-only and the nil path is untouched.
+// campaign with the attribution stripped: the probe is observation-only and
+// the nil path is untouched. The forensics-on campaign's records must also
+// equal Reference's, so the cursor's fork machinery cannot change a fault's
+// attributed fate.
 func TestForensicsDifferentialAcrossForkPolicies(t *testing.T) {
 	r := shaRunner(t)
 	fs := r.FaultList("RF", 30, 5)
-	for _, policy := range []ForkPolicy{ForkCursor, ForkSnapshot, ForkLegacyClone} {
-		r.ForkPolicy = policy
-		base := r.Run(fs, ModeExhaustive, 0, 2)
+	base := r.Run(fs, ModeExhaustive, 0, 2)
 
-		r.Forensics = forensics.NewExplorer()
-		r.ForensicsSample = 1
-		probed := r.Run(fs, ModeExhaustive, 0, 2)
-		r.Forensics = nil
-		r.ForensicsSample = 0
-
-		for i := range base {
-			stripped := probed[i]
-			stripped.Forensics = nil
-			if stripped != base[i] {
-				t.Errorf("policy %v fault %d: results differ\noff: %+v\non:  %+v",
-					policy, i, base[i], probed[i])
-			}
+	r.Forensics = forensics.NewExplorer()
+	r.ForensicsSample = 1
+	probed := r.Run(fs, ModeExhaustive, 0, 2)
+	for i, f := range fs {
+		stripped := probed[i]
+		stripped.Forensics = nil
+		if stripped != base[i] {
+			t.Errorf("fault %d: results differ\noff: %+v\non:  %+v", i, base[i], probed[i])
+		}
+		ref := r.Reference(f, ModeExhaustive, 0)
+		if !reflect.DeepEqual(ref, probed[i]) {
+			t.Errorf("fault %d: attribution differs from Reference\ncampaign:  %+v %+v\nreference: %+v %+v",
+				i, probed[i], probed[i].Forensics, ref, ref.Forensics)
 		}
 	}
-	r.ForkPolicy = ForkCursor
 }
 
 // ESC faults (corruption escaping through a dirty line without a commit

@@ -38,13 +38,9 @@ type structAgg struct {
 	exhCycles   uint64
 	stats       cpu.Stats
 
-	// Checkpoint telemetry (ForkCursor/ForkSnapshot runs).
-	restores   uint64
-	seekCycles uint64
-	cowPages   uint64
-
-	// Cursor telemetry (ForkCursor runs only).
+	// Cursor telemetry (single-core runs).
 	cursorFaults uint64
+	cowPages     uint64
 	advCycles    uint64
 	deltaBytes   uint64
 	fullSyncs    uint64
@@ -124,7 +120,7 @@ func (r *Runner) newRunObs(faults []fault.Fault, mode Mode, prior map[int]Result
 		ro.simHist = o.Metrics.Histogram("avgi_campaign_fault_sim_cycles",
 			"post-injection cycles simulated per fault", simCycleBuckets, lb)
 		ro.wallHist = o.Metrics.Histogram("avgi_campaign_fault_wall_seconds",
-			"wall-clock seconds per fault (includes mother-machine advance)", wallSecBuckets, lb)
+			"wall-clock seconds per fault (includes the cursor advance)", wallSecBuckets, lb)
 		if r.Forensics != nil {
 			ro.divHist = o.Metrics.Histogram("avgi_divergence_latency_cycles",
 				"injection-to-first-divergence latency of visible faults", divCycleBuckets, lb)
@@ -191,13 +187,9 @@ func (ro *runObs) fault(local map[string]*structAgg, f fault.Fault, res *Result,
 	exh := ro.exhaustiveEstimate(f, res)
 	a.exhCycles += exh
 	addStats(&a.stats, delta)
-	if fm.restored {
-		a.restores++
-		a.seekCycles += fm.seekCycles
-		a.cowPages += fm.cowPages
-	}
 	if fm.cursor {
 		a.cursorFaults++
+		a.cowPages += fm.cowPages
 		a.advCycles += fm.advCycles
 		a.deltaBytes += fm.deltaBytes
 		if fm.fullSync {
@@ -274,10 +266,8 @@ func (ro *runObs) merge(local map[string]*structAgg) {
 		dst.simCycles += a.simCycles
 		dst.exhCycles += a.exhCycles
 		addStats(&dst.stats, a.stats)
-		dst.restores += a.restores
-		dst.seekCycles += a.seekCycles
-		dst.cowPages += a.cowPages
 		dst.cursorFaults += a.cursorFaults
+		dst.cowPages += a.cowPages
 		dst.advCycles += a.advCycles
 		dst.deltaBytes += a.deltaBytes
 		dst.fullSyncs += a.fullSyncs
@@ -326,15 +316,11 @@ func (ro *runObs) finish() {
 			reg.Counter("avgi_flips_masked_total",
 				"bit flips masked at the injection site (free queue slots)", fl).Add(a.stats.FlipsMasked)
 
-			if a.restores > 0 {
+			if a.cursorFaults > 0 {
 				reg.Counter("avgi_ckpt_restores_total",
-					"scratch-machine rewinds from checkpoint snapshots", lb).Add(a.restores)
-				reg.Counter("avgi_ckpt_seek_cycles_total",
-					"cycles re-simulated between seeked checkpoint and injection", lb).Add(a.seekCycles)
+					"cursor rewinds to the fault-point snapshot after a faulty run", lb).Add(a.cursorFaults)
 				reg.Counter("avgi_ckpt_cow_pages_total",
 					"RAM pages privatized copy-on-write by forked runs", lb).Add(a.cowPages)
-			}
-			if a.cursorFaults > 0 {
 				reg.Counter("avgi_cursor_advance_cycles_total",
 					"golden cycles worker cursors advanced (replay amortized to once per chunk)", lb).Add(a.advCycles)
 				reg.Counter("avgi_cursor_delta_bytes_total",
@@ -383,5 +369,4 @@ func (r *Runner) PublishGolden() {
 	reg.Gauge("avgi_golden_cycles", "golden run length in cycles", lb).Set(float64(r.Golden.Cycles))
 	reg.Gauge("avgi_golden_commits", "golden run committed instructions", lb).Set(float64(r.Golden.Commits))
 	reg.Gauge("avgi_golden_output_bytes", "golden run output size in bytes", lb).Set(float64(len(r.Golden.Output)))
-	obs.PublishEngineStats(reg, lb, r.GoldenEngine)
 }

@@ -9,6 +9,7 @@ import (
 	"avgi/internal/fault"
 	"avgi/internal/imm"
 	"avgi/internal/obs"
+	"avgi/internal/prog"
 )
 
 // poisonFault builds a fault whose injection deterministically panics: its
@@ -24,21 +25,34 @@ func poisonFault(r *Runner, structure string, cycle uint64) fault.Fault {
 	}
 }
 
-// TestQuarantineIsolatesPoisonedFault proves the tentpole guarantee under
-// all three fork policies: one panicking fault yields a quarantined Result
-// and a completed campaign, and every other result is byte-identical to a
-// campaign without the poisoned fault.
+// TestQuarantineIsolatesPoisonedFault proves the tentpole guarantee on both
+// fork paths — the single-core cursor and the cluster clone: one panicking
+// fault yields a quarantined Result and a completed campaign, and every
+// other result is byte-identical to a campaign without the poisoned fault.
 func TestQuarantineIsolatesPoisonedFault(t *testing.T) {
-	for _, policy := range []ForkPolicy{ForkCursor, ForkSnapshot, ForkLegacyClone} {
-		t.Run(policy.String(), func(t *testing.T) {
-			r := newTestRunner(t, cpu.ConfigA72(), "sha")
-			r.ForkPolicy = policy
-			faults := r.FaultList("RF", 30, 5)
+	for _, path := range []struct {
+		name, structure string
+		cores           int
+	}{
+		{"cursor", "RF", 1},
+		{"cluster", "c1/RF", 2},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			cfg := cpu.ConfigA72()
+			w, err := prog.ByName("sha")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRunnerCores(cfg, w.Build(cfg.Variant), path.cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults := r.FaultList(path.structure, 30, 5)
 			clean := r.Run(faults, ModeHVF, 0, 2)
 
 			// Insert the poison mid-list so the same worker chunk
 			// continues past the panic.
-			poison := poisonFault(r, "RF", r.Golden.Cycles/2)
+			poison := poisonFault(r, path.structure, r.Golden.Cycles/2)
 			mixed := make([]fault.Fault, 0, len(faults)+1)
 			mixed = append(mixed, faults[:15]...)
 			mixed = append(mixed, poison)
@@ -131,9 +145,9 @@ func TestQuarantineLimitDisabled(t *testing.T) {
 }
 
 // TestRunBudgetNoObserverSnapshotRace drives the fully uninstrumented
-// RunBudget path (nil *runObs) of a ForkSnapshot campaign with several
-// workers — the hot path the telemetry layer promises to leave untouched —
-// and checks determinism across runs. The verify recipe runs this package
+// RunBudget path (nil *runObs) of a cursor campaign with several workers,
+// all seeking the one shared checkpoint store — the hot path the telemetry
+// layer promises to leave untouched — and checks determinism across runs. The verify recipe runs this package
 // under -race, which is the actual point of the test.
 func TestRunBudgetNoObserverSnapshotRace(t *testing.T) {
 	r := newTestRunner(t, cpu.ConfigA72(), "sha")

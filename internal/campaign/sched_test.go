@@ -10,7 +10,6 @@ import (
 	"avgi/internal/fault"
 	"avgi/internal/obs"
 	"avgi/internal/prog"
-	"avgi/internal/trace"
 )
 
 func newTestRunner(t *testing.T, cfg cpu.Config, workload string) *Runner {
@@ -244,15 +243,12 @@ func TestInjectWrappingFaultPanics(t *testing.T) {
 	r := newTestRunner(t, cpu.ConfigA72(), "bitcount")
 	bits := r.BitCounts["RF"]
 	wrap := fault.Fault{Structure: "RF", Bit: bits - 1, Cycle: 100, Width: 2}
-	// Call the injection half directly (not via Run, whose worker
-	// goroutine would turn the panic into a process abort).
-	m := cpu.New(r.Cfg, r.Prog)
+	// Inject through Reference, which (unlike Run's quarantine guard)
+	// does not recover panics.
 	defer func() {
 		if recover() == nil {
 			t.Error("injecting a wrapping multi-bit fault must panic")
 		}
 	}()
-	var cmp trace.Comparator
-	cmp.Golden = r.Golden.Trace
-	r.injectAndObserve(m, wrap, ModeHVF, 0, &cmp)
+	r.Reference(wrap, ModeHVF, 0)
 }

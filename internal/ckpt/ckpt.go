@@ -128,8 +128,7 @@ func (p *Pool) Get() (m *cpu.Machine, reused bool) {
 }
 
 // Put returns a machine to the pool for reuse. Delta tracking is switched
-// off so the next user — possibly a different fork policy — never inherits
-// a stale sync lineage.
+// off so the next user never inherits a stale sync lineage.
 func (p *Pool) Put(m *cpu.Machine) {
 	m.SetSink(nil)
 	m.EndDeltaTracking()

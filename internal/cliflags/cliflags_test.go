@@ -4,8 +4,6 @@ import (
 	"flag"
 	"testing"
 	"time"
-
-	"avgi/internal/campaign"
 )
 
 func TestRegisterDefaultsAndParse(t *testing.T) {
@@ -14,43 +12,24 @@ func TestRegisterDefaultsAndParse(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Fork != "cursor" || c.Workers != 3 || c.Log != "text" {
+	if c.Workers != 3 || c.Log != "text" {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
 	c = Register(fs, 0)
 	err := fs.Parse([]string{
-		"-fork", "snapshot", "-ckpt-interval", "5000", "-workers", "8",
+		"-ckpt-interval", "5000", "-workers", "8",
 		"-journal", "/tmp/j", "-resume", "-progress",
 		"-metrics-addr", "localhost:9090", "-forensics", "-log", "json",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Fork != "snapshot" || c.CkptInterval != 5000 || c.Workers != 8 ||
+	if c.CkptInterval != 5000 || c.Workers != 8 ||
 		c.Journal != "/tmp/j" || !c.Resume || !c.Progress ||
 		c.MetricsAddr != "localhost:9090" || !c.Forensics || c.Log != "json" {
 		t.Fatalf("parsed values wrong: %+v", c)
-	}
-}
-
-func TestForkPolicy(t *testing.T) {
-	cases := map[string]campaign.ForkPolicy{
-		"cursor":   campaign.ForkCursor,
-		"snapshot": campaign.ForkSnapshot,
-		"clone":    campaign.ForkLegacyClone,
-	}
-	for name, want := range cases {
-		c := &Common{Fork: name}
-		got, err := c.ForkPolicy()
-		if err != nil || got != want {
-			t.Errorf("ForkPolicy(%q) = %v, %v", name, got, err)
-		}
-	}
-	c := &Common{Fork: "bogus"}
-	if _, err := c.ForkPolicy(); err == nil {
-		t.Error("bogus fork policy accepted")
 	}
 }
 

@@ -1,24 +1,10 @@
 package cpu
 
-// Clone deep-copies the machine's entire state — core and memory system —
-// producing an independent machine positioned at the same cycle. Campaigns
-// use this as the checkpoint mechanism: the golden run advances to each
-// fault's injection cycle and forks a clone to inject into, which matches
-// the checkpoint-based acceleration both the paper's baseline SFI flow and
-// the AVGI flow share (Section IV.B).
-//
-// The trace sink is not cloned; the caller installs a fresh sink on the
-// clone with SetSink.
-func (m *Machine) Clone() *Machine {
-	c := m.cloneCore()
-	c.Mem = m.Mem.Clone()
-	return c
-}
-
 // cloneCore deep-copies the core-private state only, leaving Mem aliased to
 // the source's hierarchy; the caller rebinds it. Cluster clones use this to
 // rebind every core onto one cloned shared-memory spine instead of cloning
-// the shared L2 and RAM once per core.
+// the shared L2 and RAM once per core. The trace sink is not cloned; the
+// caller installs a fresh one with SetSink.
 func (m *Machine) cloneCore() *Machine {
 	c := &Machine{}
 	*c = *m

@@ -4,22 +4,19 @@ import (
 	"fmt"
 
 	"avgi/internal/asm"
-	"avgi/internal/engine"
 	"avgi/internal/mem"
 	"avgi/internal/trace"
 )
 
 // Cluster is a multi-core machine: n cores with private L1s and TLBs over a
 // shared L2 and RAM (see mem.SharedMem), each running its own copy of the
-// program in its own physical window. The cores are driven by one serial
-// engine and tick in index order every cycle, so same-cycle activity at the
-// shared L2 arbitrates deterministically: core 0 always accesses shared
-// state before core 1 within a cycle.
+// program in its own physical window. The cores step in index order every
+// cycle, so same-cycle activity at the shared L2 arbitrates
+// deterministically: core 0 always accesses shared state before core 1
+// within a cycle.
 //
-// This is the first machine shape the old monolithic Machine.Step loop
-// could not express — it exists to let faults propagate across cores
-// through the shared L2 (a flip in c0's window can be written back where
-// c1's output DMA reads it).
+// It exists to let faults propagate across cores through the shared L2 (a
+// flip in c0's window can be written back where c1's output DMA reads it).
 type Cluster struct {
 	Cfg    Config
 	Prog   *asm.Program
@@ -35,9 +32,7 @@ func NewCluster(cfg Config, prog *asm.Program, n int) *Cluster {
 	shared := mem.NewSharedMem(cfg.Mem, n)
 	cl := &Cluster{Cfg: cfg, Prog: prog, Shared: shared}
 	for k := 0; k < n; k++ {
-		m := NewWithMem(cfg, prog, shared.CoreHierarchy(k))
-		m.name = fmt.Sprintf("c%d", k)
-		cl.cores = append(cl.cores, m)
+		cl.cores = append(cl.cores, NewWithMem(cfg, prog, shared.CoreHierarchy(k)))
 	}
 	return cl
 }
@@ -48,8 +43,8 @@ func (cl *Cluster) Cores() int { return len(cl.cores) }
 // Core returns core k.
 func (cl *Cluster) Core(k int) *Machine { return cl.cores[k] }
 
-// Cycle returns the cluster clock (cycles executed by the engine; a halted
-// core's private counter freezes while the cluster clock keeps running).
+// Cycle returns the cluster clock (cycles executed by Run; a halted core's
+// private counter freezes while the cluster clock keeps running).
 func (cl *Cluster) Cycle() uint64 { return cl.cycle }
 
 // SetSink installs a commit-trace sink on core k.
@@ -111,13 +106,8 @@ func (cl *Cluster) Commits() uint64 {
 }
 
 // Run advances the cluster until it halts, crashes, is stopped by a sink,
-// or exhausts the cycle budget. Like Machine.Run it drives a fresh serial
-// engine per call, with the cores registered in index order.
+// or exhausts the cycle budget. Every cycle steps the cores in index order.
 func (cl *Cluster) Run(opts RunOptions) Result {
-	eng := engine.New()
-	for _, m := range cl.cores {
-		eng.Register(m)
-	}
 	max := opts.MaxCycles
 	if max == 0 {
 		max = 100_000_000
@@ -131,7 +121,9 @@ func (cl *Cluster) Run(opts RunOptions) Result {
 		if opts.StopAtCycle > 0 && cl.cycle >= opts.StopAtCycle {
 			break
 		}
-		eng.RunCycle()
+		for _, m := range cl.cores {
+			m.Step()
+		}
 		cl.cycle++
 		status = cl.Status()
 	}
@@ -141,7 +133,6 @@ func (cl *Cluster) Run(opts RunOptions) Result {
 		Cycles:  cl.cycle,
 		Commits: cl.Commits(),
 		Output:  cl.Output(),
-		Engine:  eng.Stats(),
 	}
 }
 

@@ -53,11 +53,6 @@ func TestClusterRunsWorkload(t *testing.T) {
 		if res.Commits != 2*sres.Commits {
 			t.Fatalf("%s: cluster commits %d, want %d", cfg.Name, res.Commits, 2*sres.Commits)
 		}
-		// Engine telemetry: two ticking components, named by index.
-		if len(res.Engine.Components) != 2 ||
-			res.Engine.Components[0].Name != "c0" || res.Engine.Components[1].Name != "c1" {
-			t.Fatalf("%s: engine components %+v", cfg.Name, res.Engine.Components)
-		}
 	}
 }
 

@@ -393,7 +393,8 @@ func TestCloneMidRunConverges(t *testing.T) {
 	if m.Status() != StatusRunning {
 		t.Fatalf("paused machine status %v", m.Status())
 	}
-	c := m.Clone()
+	c := m.cloneCore()
+	c.Mem = m.Mem.Clone()
 	cRes := c.Run(RunOptions{})
 	if cRes.Status != StatusHalted || cRes.Cycles != refRes.Cycles {
 		t.Errorf("clone: %v in %d cycles, want halt in %d", cRes.Status, cRes.Cycles, refRes.Cycles)

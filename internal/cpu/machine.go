@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"avgi/internal/asm"
-	"avgi/internal/engine"
 	"avgi/internal/isa"
 	"avgi/internal/mem"
 	"avgi/internal/trace"
@@ -263,10 +262,6 @@ type Machine struct {
 	// before the faulty machine is rewound; a nil probe keeps every
 	// pipeline stage on the exact pre-forensics code.
 	probe *FaultProbe
-
-	// name is the engine component name ("" reads as "core"; cluster
-	// cores are "c0", "c1", ...).
-	name string
 }
 
 // outputProfile records how much of each cache array holds dirty data
@@ -386,46 +381,10 @@ func (m *Machine) OutputProfile() (cycles []uint64, l1d, l2 []uint32) {
 	return p.cycles, p.l1d, p.l2
 }
 
-// Name implements engine.Component: "core" for a single-core machine,
-// "c<k>" for cluster cores.
-func (m *Machine) Name() string {
-	if m.name == "" {
-		return "core"
-	}
-	return m.name
-}
-
-// CaptureState implements engine.StateCapturer, mapping the machine's
-// buffer-reusing Snapshot machinery onto per-component capture. The token
-// is a *Snapshot; passing a prior token back reuses its buffers. (Cluster
-// cores share an L2 and RAM, so their capture path is the cluster-level
-// Clone, not per-component snapshots.)
-func (m *Machine) CaptureState(prior any) any {
-	var s *Snapshot
-	if prior != nil {
-		s = prior.(*Snapshot)
-	}
-	return m.Snapshot(s)
-}
-
-// RestoreState implements engine.StateCapturer.
-func (m *Machine) RestoreState(state any) {
-	m.Restore(state.(*Snapshot))
-}
-
-// Step advances the machine one clock cycle. It is a thin wrapper over Tick
-// for callers that drive the machine directly rather than through an
-// engine (tests, the campaign cursor's single-cycle seeks).
+// Step advances the machine one clock cycle. Stages run in reverse
+// pipeline order so that a cycle's results are visible to earlier stages
+// only on the next cycle.
 func (m *Machine) Step() {
-	m.Tick(m.cycle + 1)
-}
-
-// Tick implements engine.Ticker: one clock cycle of the core. Stages run in
-// reverse pipeline order so that a cycle's results are visible to earlier
-// stages only on the next cycle. The machine keeps its own cycle counter
-// (the engine's clock and m.cycle coincide only when the machine starts at
-// cycle 0, which is all the engine needs — ordering, not absolute time).
-func (m *Machine) Tick(uint64) {
 	if m.status != StatusRunning {
 		return
 	}
@@ -487,20 +446,11 @@ type Result struct {
 	Cycles  uint64
 	Commits uint64
 	Output  []byte
-
-	// Engine holds the event-engine activity counters of the Run call
-	// that produced this result (telemetry; not machine state).
-	Engine engine.Stats
 }
 
 // Run advances the machine until it halts, crashes, is stopped by the sink,
-// or exhausts the cycle budget. Each Run drives a fresh serial engine with
-// the machine registered as its only ticking component; the engine is
-// per-call state, so snapshots, clones and restores of the machine never
-// carry scheduler state with them.
+// or exhausts the cycle budget.
 func (m *Machine) Run(opts RunOptions) Result {
-	eng := engine.New()
-	eng.Register(m)
 	max := opts.MaxCycles
 	if max == 0 {
 		max = 100_000_000
@@ -513,7 +463,7 @@ func (m *Machine) Run(opts RunOptions) Result {
 		if opts.StopAtCycle > 0 && m.cycle >= opts.StopAtCycle {
 			break
 		}
-		eng.RunCycle()
+		m.Step()
 	}
 	return Result{
 		Status:  m.status,
@@ -521,7 +471,6 @@ func (m *Machine) Run(opts RunOptions) Result {
 		Cycles:  m.cycle,
 		Commits: m.Stats.Commits,
 		Output:  m.output,
-		Engine:  eng.Stats(),
 	}
 }
 

@@ -75,7 +75,7 @@ func TestOutputProfileSampling(t *testing.T) {
 		t.Errorf("dirty output visible in only %d/%d samples", dirtySamples, len(l1d))
 	}
 	// A clone must not inherit the profiling hook.
-	c := m.Clone()
+	c := m.cloneCore()
 	if cc, _, _ := c.OutputProfile(); cc != nil {
 		t.Error("clone inherited output profile")
 	}

@@ -185,9 +185,91 @@ func TestFileLeaserTakeoverHooks(t *testing.T) {
 	}
 }
 
-// TestFileLeaserRace pins the O_EXCL arbitration: many goroutines racing
+// TestFileLeaserAbandonedTakeoverClaim pins that a claimant which died
+// mid-takeover cannot wedge a lease: its claim blocks others only until the
+// claim itself expires.
+func TestFileLeaserAbandonedTakeoverClaim(t *testing.T) {
+	clk := newFakeClock()
+	l := NewFileLeaser(filepath.Join(t.TempDir(), "leases"))
+	l.SetClock(clk.Now)
+	if ok, _ := l.TryAcquire("x", "alice", time.Second); !ok {
+		t.Fatal("seed acquire")
+	}
+	clk.Advance(2 * time.Second)
+	// carol claimed the takeover of alice's stale lease, then died.
+	path := l.leasePath("x")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := l.create(takeoverClaim(path, data), "carol", time.Minute); !ok || err != nil {
+		t.Fatalf("plant claim: ok=%v err=%v", ok, err)
+	}
+	if ok, _ := l.TryAcquire("x", "bob", time.Second); ok {
+		t.Fatal("a live takeover claim must block other claimants")
+	}
+	clk.Advance(2 * time.Minute)
+	ok1, _ := l.TryAcquire("x", "bob", time.Second)
+	ok2, _ := l.TryAcquire("x", "bob", time.Second)
+	if !ok1 && !ok2 {
+		t.Fatal("an expired takeover claim still blocks the lease")
+	}
+}
+
+// TestFileLeaserAbandonedTakeoverClaimRace races many claimants over a
+// stale lease whose takeover claim was abandoned: clearing the expired
+// claim and taking over the lease must still yield exactly one winner.
+func TestFileLeaserAbandonedTakeoverClaimRace(t *testing.T) {
+	clk := newFakeClock()
+	dir := filepath.Join(t.TempDir(), "leases")
+	seed := NewFileLeaser(dir)
+	seed.SetClock(clk.Now)
+	if ok, _ := seed.TryAcquire("x", "alice", time.Second); !ok {
+		t.Fatal("seed acquire")
+	}
+	clk.Advance(2 * time.Second)
+	path := seed.leasePath("x")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := seed.create(takeoverClaim(path, data), "carol", time.Second); !ok || err != nil {
+		t.Fatalf("plant claim: ok=%v err=%v", ok, err)
+	}
+	clk.Advance(2 * time.Second)
+
+	const racers, attempts = 16, 4
+	var wins atomic.Int64
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			l := NewFileLeaser(dir)
+			l.SetClock(clk.Now)
+			<-start
+			for a := 0; a < attempts; a++ {
+				if ok, err := l.TryAcquire("x", fmt.Sprintf("racer-%02d", i), time.Minute); err != nil {
+					t.Errorf("racer %d: %v", i, err)
+					return
+				} else if ok {
+					wins.Add(1)
+					return
+				}
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if w := wins.Load(); w != 1 {
+		t.Errorf("%d winners clearing an abandoned claim, want exactly 1", w)
+	}
+}
+
+// TestFileLeaserRace pins the create-or-fail arbitration: many goroutines racing
 // one fresh lease yield exactly one winner, and racing one *stale* lease
-// (the tombstone-rename path) also yields exactly one winner.
+// (the takeover-claim path) also yields exactly one winner.
 func TestFileLeaserRace(t *testing.T) {
 	clk := newFakeClock()
 	dir := filepath.Join(t.TempDir(), "leases")

@@ -24,9 +24,11 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,18 +85,28 @@ type leaseRecord struct {
 //
 // Protocol, per resource name:
 //
-//   - root/<name>.lease — the lease record, created O_CREATE|O_EXCL so
-//     exactly one creator wins. Heartbeats rewrite it via temp-file rename
-//     (atomic, so readers never see a torn record from a live owner).
+//   - root/<name>.lease — the lease record. A record is always written
+//     complete to a temp file first and then published: hard-linked into
+//     place to create a lease (the link fails if one exists, so exactly
+//     one creator wins) or renamed over it to renew one. Readers never see
+//     a half-written record.
 //   - root/<name>.done — the persistent done marker.
 //   - takeover: a claimant that reads a stale (or torn/empty) lease
-//     renames it to a claimant-unique tombstone — exactly one racer's
-//     rename succeeds — re-checks staleness on the tombstone, removes it,
-//     and O_EXCL-creates a fresh lease. If the tombstone turns out live
-//     (the owner heartbeated between read and rename), it is renamed
-//     back: the owner keeps working either way, because leases only
-//     arbitrate efficiency — a lost lease means duplicated simulation,
-//     which the deterministic merge absorbs.
+//     creates root/<name>.lease.takeover-<hash of the bytes it read> the
+//     same way. Exactly one claimant that saw those bytes wins it; the
+//     winner re-reads the lease and, if it is unchanged, renames its own
+//     record over it. The claim is a lease record too, so a claimant that
+//     crashed mid-takeover cannot wedge the resource: its claim expires,
+//     and the next claimant deletes it under a claim on the claim's bytes.
+//
+// A file system offers no compare-and-swap, so the re-read and the rename
+// are two steps, and a late process can act between them. If the owner
+// heartbeats there, its renewal is lost and it keeps working until its
+// next heartbeat reports the new holder. If the owner releases and a new
+// claimant creates a fresh lease there, both that claimant and the
+// takeover winner get true. Both need a process late by the width of that
+// window; leases only arbitrate efficiency, and duplicated simulation is
+// absorbed by the deterministic merge.
 type FileLeaser struct {
 	root string
 	// now is the clock; a variable so tests can run takeover scenarios
@@ -121,19 +133,6 @@ func (l *FileLeaser) SetHooks(onSteal, onExpired func()) {
 	l.onSteal, l.onExpired = onSteal, onExpired
 }
 
-// sanitizeOwner maps an owner identity onto a filename fragment (used in
-// tombstone names, which must be claimant-unique).
-func sanitizeOwner(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
-}
-
 func (l *FileLeaser) leasePath(name string) string {
 	return filepath.Join(l.root, filepath.FromSlash(name)+".lease")
 }
@@ -149,6 +148,10 @@ func (l *FileLeaser) read(path string) (leaseRecord, bool) {
 	if err != nil {
 		return leaseRecord{}, false
 	}
+	return parseLease(data)
+}
+
+func parseLease(data []byte) (leaseRecord, bool) {
 	var rec leaseRecord
 	if json.Unmarshal(data, &rec) != nil || rec.Owner == "" {
 		return leaseRecord{}, false
@@ -156,17 +159,33 @@ func (l *FileLeaser) read(path string) (leaseRecord, bool) {
 	return rec, true
 }
 
-// write atomically replaces path with a fresh lease record via temp-file
-// rename.
-func (l *FileLeaser) write(path, owner string, ttl time.Duration) error {
-	rec := leaseRecord{Owner: owner, Expiry: l.now().Add(ttl).UnixNano()}
-	data, err := json.Marshal(rec)
+// stage writes a complete lease record to a fresh temp file next to path
+// and returns the temp file's name.
+func (l *FileLeaser) stage(path, owner string, ttl time.Duration) (string, error) {
+	data, err := json.Marshal(leaseRecord{Owner: owner, Expiry: l.now().Add(ttl).UnixNano()})
 	if err != nil {
-		return fmt.Errorf("dist: %w", err)
+		return "", fmt.Errorf("dist: %w", err)
 	}
-	tmp := path + ".tmp-" + sanitizeOwner(owner)
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("dist: %w", err)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return "", fmt.Errorf("dist: %w", err)
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", fmt.Errorf("dist: %w", err)
+	}
+	return f.Name(), nil
+}
+
+// write atomically replaces path with a fresh lease record.
+func (l *FileLeaser) write(path, owner string, ttl time.Duration) error {
+	tmp, err := l.stage(path, owner, ttl)
+	if err != nil {
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
@@ -175,29 +194,29 @@ func (l *FileLeaser) write(path, owner string, ttl time.Duration) error {
 	return nil
 }
 
-// create attempts the O_EXCL lease creation; ok=false means it already
-// exists.
+// create publishes a fresh lease record at path only if none exists;
+// ok=false means one already does.
 func (l *FileLeaser) create(path, owner string, ttl time.Duration) (bool, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	tmp, err := l.stage(path, owner, ttl)
 	if err != nil {
+		return false, err
+	}
+	defer os.Remove(tmp)
+	if err := os.Link(tmp, path); err != nil {
 		if errors.Is(err, os.ErrExist) {
 			return false, nil
 		}
 		return false, fmt.Errorf("dist: %w", err)
 	}
-	rec := leaseRecord{Owner: owner, Expiry: l.now().Add(ttl).UnixNano()}
-	data, merr := json.Marshal(rec)
-	if merr == nil {
-		_, merr = f.Write(data)
-	}
-	if cerr := f.Close(); merr == nil {
-		merr = cerr
-	}
-	if merr != nil {
-		os.Remove(path)
-		return false, fmt.Errorf("dist: %w", merr)
-	}
 	return true, nil
+}
+
+// takeoverClaim names the claim file for taking over the lease at path
+// whose current bytes are data.
+func takeoverClaim(path string, data []byte) string {
+	h := fnv.New64a()
+	h.Write(data)
+	return fmt.Sprintf("%s.takeover-%016x", path, h.Sum64())
 }
 
 // TryAcquire implements Leaser.
@@ -212,7 +231,11 @@ func (l *FileLeaser) TryAcquire(name, owner string, ttl time.Duration) (bool, er
 	if ok, err := l.create(path, owner, ttl); ok || err != nil {
 		return ok, err
 	}
-	rec, readable := l.read(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false, nil // released since the create: free next round
+	}
+	rec, readable := parseLease(data)
 	switch {
 	case readable && rec.Owner == owner:
 		// Our own lease (a restarted process, or the previous round):
@@ -224,26 +247,51 @@ func (l *FileLeaser) TryAcquire(name, owner string, ttl time.Duration) (bool, er
 	if readable && l.onExpired != nil {
 		l.onExpired()
 	}
-	// Stale or torn: tombstone takeover. The rename is the race arbiter —
-	// exactly one concurrent claimant moves the file.
-	tomb := path + ".tomb-" + sanitizeOwner(owner)
-	if err := os.Rename(path, tomb); err != nil {
-		return false, nil // another claimant renamed first
+	// Stale or torn: claim the takeover of exactly these bytes.
+	claim := takeoverClaim(path, data)
+	if ok, err := l.create(claim, owner, ttl); !ok || err != nil {
+		if err == nil {
+			l.clearAbandoned(claim, owner, ttl)
+		}
+		return false, err
 	}
-	if rec2, ok := l.read(tomb); ok && rec2.Owner != owner && l.now().UnixNano() < rec2.Expiry {
-		// The owner heartbeated between our read and our rename: give the
-		// (live) lease back. Worst case the owner already recreated it and
-		// this rename clobbers a fresher record — duplicated simulation,
-		// absorbed by the merge.
-		os.Rename(tomb, path)
-		return false, nil
+	defer os.Remove(claim)
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, data) {
+		return false, nil // renewed or released since our read
 	}
-	os.Remove(tomb)
-	ok, err := l.create(path, owner, ttl)
-	if ok && l.onSteal != nil {
+	if err := l.write(path, owner, ttl); err != nil {
+		return false, err
+	}
+	if l.onSteal != nil {
 		l.onSteal()
 	}
-	return ok, err
+	return true, nil
+}
+
+// clearAbandoned deletes the takeover claim at path if its claimant let
+// it expire, freeing the takeover for the next round. The delete is
+// arbitrated like a takeover, by a claim on the claim's bytes, so a racer
+// that read the expired claim cannot delete a fresh one created after it;
+// an abandoned claim on a claim is cleared the same way, one level down.
+func (l *FileLeaser) clearAbandoned(path, owner string, ttl time.Duration) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return
+	}
+	if c, ok := parseLease(data); ok && l.now().UnixNano() < c.Expiry {
+		return // live: its claimant is still working
+	}
+	claim := takeoverClaim(path, data)
+	if ok, err := l.create(claim, owner, ttl); err != nil {
+		return
+	} else if !ok {
+		l.clearAbandoned(claim, owner, ttl)
+		return
+	}
+	defer os.Remove(claim)
+	if now, err := os.ReadFile(path); err == nil && bytes.Equal(now, data) {
+		os.Remove(path)
+	}
 }
 
 // Heartbeat implements Leaser. A heartbeat on a vanished lease re-creates

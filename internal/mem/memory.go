@@ -194,8 +194,8 @@ func (r *RAM) RestoreFrom(snap *RAM) {
 }
 
 // CowPrivatized returns the number of pages this RAM has privatized by
-// copy-on-write since creation — the per-fork write footprint the
-// checkpoint telemetry reports.
+// copy-on-write since creation — the write footprint of forked runs that
+// the checkpoint telemetry reports.
 func (r *RAM) CowPrivatized() uint64 { return r.cow }
 
 // PageTable is the linear mapping from virtual to physical pages for one

@@ -1,15 +1,11 @@
 package avgi
 
-import (
-	"testing"
-
-	"avgi/internal/campaign"
-)
+import "testing"
 
 // Scheduler benchmarks: study-level throughput of the serial pair-by-pair
 // driving style (each campaign runs alone, workers idle between pairs)
 // against Prefetch/RunAll (campaigns overlap, the shared budget stays
-// saturated across pair boundaries), under both fork policies.
+// saturated across pair boundaries).
 //
 // Reproduce with:
 //
@@ -19,7 +15,7 @@ import (
 // campaign genuinely executes; golden runs are the per-iteration setup cost
 // either way, so the delta isolates the scheduling policy.
 
-func newSchedBenchStudy(b *testing.B, policy ForkPolicy) *Study {
+func newSchedBenchStudy(b *testing.B) *Study {
 	b.Helper()
 	var wl []Workload
 	for _, n := range []string{"sha", "crc32"} {
@@ -36,7 +32,6 @@ func newSchedBenchStudy(b *testing.B, policy ForkPolicy) *Study {
 		FaultsPerStructure: 32,
 		Workers:            4,
 		SeedBase:           7,
-		ForkPolicy:         policy,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -44,12 +39,12 @@ func newSchedBenchStudy(b *testing.B, policy ForkPolicy) *Study {
 	return s
 }
 
-func benchStudyGrid(b *testing.B, policy ForkPolicy, scheduled bool) {
+func benchStudyGrid(b *testing.B, scheduled bool) {
 	b.ReportAllocs()
 	faults := 0
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := newSchedBenchStudy(b, policy)
+		s := newSchedBenchStudy(b)
 		b.StartTimer()
 		if scheduled {
 			s.RunAll(ModeExhaustive)
@@ -63,11 +58,5 @@ func benchStudyGrid(b *testing.B, policy ForkPolicy, scheduled bool) {
 	b.ReportMetric(float64(faults)/b.Elapsed().Seconds(), "faults/s")
 }
 
-func BenchmarkStudyGridSerialSnapshot(b *testing.B) { benchStudyGrid(b, campaign.ForkSnapshot, false) }
-func BenchmarkStudyGridScheduledSnapshot(b *testing.B) {
-	benchStudyGrid(b, campaign.ForkSnapshot, true)
-}
-func BenchmarkStudyGridSerialClone(b *testing.B) { benchStudyGrid(b, campaign.ForkLegacyClone, false) }
-func BenchmarkStudyGridScheduledClone(b *testing.B) {
-	benchStudyGrid(b, campaign.ForkLegacyClone, true)
-}
+func BenchmarkStudyGridSerial(b *testing.B)    { benchStudyGrid(b, false) }
+func BenchmarkStudyGridScheduled(b *testing.B) { benchStudyGrid(b, true) }

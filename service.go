@@ -206,7 +206,8 @@ type Service struct {
 	tenants  map[string]*campaign.Budget // tenant -> carved share
 	journals map[string]*journal.Journal // (machine, seed, faults) namespace
 	requests map[uint64]*RequestInfo
-	order    []uint64 // registry insertion order, for pruning
+	order    []uint64 // registry IDs in insertion order, for pruning
+	done     int      // completed entries in requests
 	nextID   uint64
 }
 
@@ -442,31 +443,31 @@ func (s *Service) registerRequest(req AssessRequest) *RequestInfo {
 	info := &RequestInfo{ID: s.nextID, Request: req, State: StateRunning, StartedAt: time.Now()}
 	s.requests[info.ID] = info
 	s.order = append(s.order, info.ID)
-	// Prune oldest completed entries beyond the retention bound.
-	done := 0
-	for _, id := range s.order {
-		if r := s.requests[id]; r != nil && r.State != StateRunning {
-			done++
-		}
-	}
-	for i := 0; done > doneRequestsRetained && i < len(s.order); i++ {
-		id := s.order[i]
-		if r := s.requests[id]; r != nil && r.State != StateRunning {
-			delete(s.requests, id)
-			s.order[i] = 0
-			done--
-		}
-	}
 	return info
 }
 
+// finishRequest records a request's outcome. Completing it may push the
+// completed count past doneRequestsRetained; the oldest completed entry is
+// then pruned, so the registry holds at most that many completed entries
+// plus the running ones.
 func (s *Service) finishRequest(info *RequestInfo, state RequestState, errMsg string) {
 	now := time.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	info.State = state
 	info.EndedAt = &now
 	info.Error = errMsg
-	s.mu.Unlock()
+	if s.done++; s.done <= doneRequestsRetained {
+		return
+	}
+	for i, id := range s.order {
+		if s.requests[id].State != StateRunning {
+			delete(s.requests, id)
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			s.done--
+			return
+		}
+	}
 }
 
 // Requests snapshots the registry, newest first.
@@ -475,9 +476,7 @@ func (s *Service) Requests() []RequestInfo {
 	defer s.mu.Unlock()
 	out := make([]RequestInfo, 0, len(s.requests))
 	for i := len(s.order) - 1; i >= 0; i-- {
-		if r := s.requests[s.order[i]]; r != nil {
-			out = append(out, *r)
-		}
+		out = append(out, *s.requests[s.order[i]])
 	}
 	return out
 }

@@ -282,3 +282,36 @@ func TestServiceRequestRegistry(t *testing.T) {
 		t.Errorf("registry order: first entry ID %d, want %d", all[0].ID, resp.ID)
 	}
 }
+
+// TestServiceRequestRegistryBounded serves 3 × doneRequestsRetained
+// sequential requests and checks the registry stays bounded: the
+// insertion-order slice holds only the retained completed entries (none
+// is running), and Requests returns exactly the newest of them, newest
+// first.
+func TestServiceRequestRegistryBounded(t *testing.T) {
+	s := newTestService(t, t.TempDir())
+	req := AssessRequest{Structure: "RF", Workload: "crc32", Mode: "hvf", Faults: 4}
+	var last uint64
+	for i := 0; i < 3*doneRequestsRetained; i++ {
+		resp, err := s.Assess(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = resp.ID
+	}
+	s.mu.Lock()
+	n := len(s.order)
+	s.mu.Unlock()
+	if n > doneRequestsRetained {
+		t.Errorf("len(order) = %d after %d requests, want <= %d", n, 3*doneRequestsRetained, doneRequestsRetained)
+	}
+	all := s.Requests()
+	if len(all) != doneRequestsRetained {
+		t.Fatalf("Requests() has %d entries, want %d", len(all), doneRequestsRetained)
+	}
+	for i, info := range all {
+		if want := last - uint64(i); info.ID != want || info.State != StateDone {
+			t.Fatalf("Requests()[%d] = ID %d state %v, want ID %d done", i, info.ID, info.State, want)
+		}
+	}
+}
