@@ -61,6 +61,8 @@ var (
 
 	// Shared campaign/telemetry/profiling flags (see internal/cliflags).
 	common = cliflags.Register(flag.CommandLine, 0)
+	// Distributed-fleet flags, which only this tool takes.
+	distFlags = cliflags.RegisterDist(flag.CommandLine)
 )
 
 // logger carries harness diagnostics to stderr per -log; set in main
@@ -214,7 +216,6 @@ distribution (see docs/DISTRIBUTED.md):
                      each campaign chunk-by-chunk via leases and merge a
                      byte-identical canonical shard; -workers means the
                      fleet-wide worker count
-  -coordinator URL   lease through an avgid coordinator instead of files
   -dist-owner NAME   stable node identity (default <hostname>-<pid>)
   -lease-ttl D       silent-node takeover delay (default 10s)
 
@@ -270,21 +271,20 @@ func buildStudy(machine avgi.MachineConfig, workloads []avgi.Workload, obsv *avg
 	if err != nil {
 		return nil, err
 	}
-	if err := common.ValidateDist(); err != nil {
+	if err := distFlags.Validate(common.Journal); err != nil {
 		return nil, err
 	}
 	var distCfg *avgi.DistConfig
 	workers := common.Workers
-	if common.DistRole == "worker" {
+	if distFlags.Role == "worker" {
 		// In a fleet, -workers is the cluster-wide count: it fixes the
 		// shared chunk geometry and the slot budget. Local parallelism is
 		// bounded by this process's CPUs (Workers 0) and by the slot
 		// leases it can win.
 		distCfg = &avgi.DistConfig{
-			Fleet:       common.Workers,
-			Owner:       common.DistOwner,
-			Coordinator: common.Coordinator,
-			LeaseTTL:    common.LeaseTTL,
+			Fleet:    common.Workers,
+			Owner:    distFlags.Owner,
+			LeaseTTL: distFlags.LeaseTTL,
 		}
 		workers = 0
 	}

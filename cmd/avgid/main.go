@@ -57,29 +57,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "avgid:", err)
 		os.Exit(2)
 	}
-	if err := serverFlags.ValidateDist(); err != nil {
-		logger.Error(err.Error())
-		os.Exit(2)
-	}
 	fsync, err := serverFlags.SyncPolicy()
 	if err != nil {
 		logger.Error(err.Error())
 		os.Exit(2)
-	}
-	// Both distributed roles run their own campaigns as fleet shares:
-	// -workers means the fleet-wide worker count, the coordinator leases
-	// in-process while workers lease through its /v1/dist endpoints.
-	var coord *avgi.DistCoordinator
-	var distCfg *avgi.DistConfig
-	switch serverFlags.DistRole {
-	case "coordinator":
-		coord = avgi.NewDistCoordinator()
-		distCfg = &avgi.DistConfig{Fleet: serverFlags.Workers, Owner: serverFlags.DistOwner,
-			LeaseTTL: serverFlags.LeaseTTL}
-		distCfg.UseCoordinator(coord)
-	case "worker":
-		distCfg = &avgi.DistConfig{Fleet: serverFlags.Workers, Owner: serverFlags.DistOwner,
-			Coordinator: serverFlags.Coordinator, LeaseTTL: serverFlags.LeaseTTL}
 	}
 	obsv := avgi.NewObserver(os.Stderr)
 	svc, err := avgi.NewService(avgi.ServiceConfig{
@@ -88,14 +69,13 @@ func main() {
 		JournalDir:        serverFlags.Journal,
 		ShardCacheEntries: serverFlags.ShardCache,
 		Fsync:             fsync,
-		Dist:              distCfg,
 		Obs:               obsv,
 	})
 	if err != nil {
 		logger.Error(err.Error())
 		os.Exit(1)
 	}
-	srv, err := obs.NewServer(serverFlags.Addr, newHandler(svc, obsv, coord, logger))
+	srv, err := obs.NewServer(serverFlags.Addr, newHandler(svc, obsv, logger))
 	if err != nil {
 		logger.Error(err.Error())
 		os.Exit(1)
@@ -103,97 +83,26 @@ func main() {
 	srv.SetDrainTimeout(serverFlags.DrainTimeout)
 	stopHealth := obsv.StartHealth(10 * time.Second)
 	defer stopHealth()
-	stopWorker := func() {}
-	if serverFlags.DistRole == "worker" {
-		stopWorker = startWorkerPoll(svc, serverFlags.Coordinator, workerOwner(), serverFlags.LeaseTTL, logger)
-	}
-	role := serverFlags.DistRole
-	if role == "" {
-		role = "standalone"
-	}
 	// The bound address goes to stdout (not the log) so scripts starting
 	// the server on :0 can read the ephemeral port.
-	fmt.Printf("avgid listening on http://%s/ (workers %d, tenant cap %d, journal %q, role %s)\n",
-		srv.Addr(), svc.Budget().Cap(), svc.TenantCap(), serverFlags.Journal, role)
+	fmt.Printf("avgid listening on http://%s/ (workers %d, tenant cap %d, journal %q)\n",
+		srv.Addr(), svc.Budget().Cap(), svc.TenantCap(), serverFlags.Journal)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	got := <-sig
 	logger.Info("draining", slog.String("signal", got.String()),
 		slog.Duration("timeout", serverFlags.DrainTimeout))
-	stopWorker()
 	if err := srv.Close(); err != nil {
 		logger.Error("drain: " + err.Error())
 		os.Exit(1)
 	}
 }
 
-// workerOwner derives this process's fleet identity when -dist-owner is
-// unset, mirroring the dist layer's default.
-func workerOwner() string {
-	if serverFlags.DistOwner != "" {
-		return serverFlags.DistOwner
-	}
-	host, _ := os.Hostname()
-	if host == "" {
-		host = "avgid"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
-
-// startWorkerPoll launches the worker-mode fan-out loop: register with the
-// coordinator, poll its campaign feed, and run every announced assessment
-// against the shared journal — the worker's dist-configured Service then
-// claims chunk leases through the same coordinator, so N workers polling
-// one feed split each campaign instead of each running all of it. The
-// returned stop function ends the loop and waits for it to exit (in-flight
-// assessments keep running; the server drain handles those).
-func startWorkerPoll(svc *avgi.Service, coordinator, owner string, ttl time.Duration, logger *slog.Logger) func() {
-	interval := ttl / 2
-	if interval < 500*time.Millisecond {
-		interval = 500 * time.Millisecond
-	}
-	client := avgi.NewDistClient(coordinator)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		after := 0
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			// Registration doubles as the node's liveness heartbeat in the
-			// coordinator's /v1/dist/nodes listing.
-			if err := client.Register(owner); err != nil {
-				logger.Debug("dist: register: " + err.Error())
-			}
-			anns, err := client.Campaigns(after)
-			if err != nil {
-				logger.Debug("dist: poll: " + err.Error())
-			}
-			for _, a := range anns {
-				after = a.ID
-				var req avgi.AssessRequest
-				if err := json.Unmarshal(a.Spec, &req); err != nil {
-					logger.Warn("dist: undecodable announcement", slog.Int("id", a.ID), slog.String("err", err.Error()))
-					continue
-				}
-				go func(id int, req avgi.AssessRequest) {
-					if _, err := svc.Assess(req); err != nil {
-						logger.Warn("dist: announced assessment failed",
-							slog.Int("id", id), slog.String("err", err.Error()))
-					}
-				}(a.ID, req)
-			}
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-			}
-		}
-	}()
-	return func() { close(stop); <-done }
-}
+// maxAssessBody bounds a POST /v1/assess body (1 MiB). A real
+// AssessRequest is a few hundred bytes; reading stops at the bound and the
+// request gets a 413.
+const maxAssessBody = 1 << 20
 
 // jsonError is the uniform error body of every non-2xx API response.
 type jsonError struct {
@@ -215,26 +124,19 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // newHandler assembles the avgid mux: the assessment API in front, the
 // observer's telemetry endpoints (/metrics, /progress.json, /trace.json,
 // /debug/pprof/, ...) as the fallback — one server, one port.
-func newHandler(svc *avgi.Service, obsv *avgi.Observer, coord *avgi.DistCoordinator, logger *slog.Logger) http.Handler {
+func newHandler(svc *avgi.Service, obsv *avgi.Observer, logger *slog.Logger) http.Handler {
 	mux := http.NewServeMux()
-	if coord != nil {
-		coord.Mount(mux)
-	}
 	mux.HandleFunc("POST /v1/assess", func(w http.ResponseWriter, r *http.Request) {
 		var req avgi.AssessRequest
+		r.Body = http.MaxBytesReader(w, r.Body, maxAssessBody)
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		if coord != nil {
-			// Fan the campaign out before running our own share: polling
-			// workers see it on the feed and start claiming chunks while
-			// this request's assessment is still in flight. The spec is the
-			// re-marshalled decoded request, so retries of byte-different
-			// but semantically identical bodies dedup on the feed.
-			if spec, err := json.Marshal(req); err == nil {
-				coord.Announce(spec)
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
 			}
+			writeError(w, code, fmt.Errorf("decoding request: %w", err))
+			return
 		}
 		resp, err := svc.Assess(req)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,7 +28,7 @@ func newTestServer(t *testing.T, journalDir string) (*httptest.Server, *avgi.Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newHandler(svc, obsv, nil, nil))
+	ts := httptest.NewServer(newHandler(svc, obsv, nil))
 	t.Cleanup(ts.Close)
 	return ts, svc
 }
@@ -267,74 +266,39 @@ func TestRecoverJSONTurnsPanicInto500(t *testing.T) {
 	}
 }
 
-// TestServerCoordinatorWorkerFleet is the end-to-end distributed topology:
-// an avgid coordinator (in-process lease arbiter mounted on its own mux)
-// and an avgid-style worker polling its campaign feed share one journal
-// directory. A single POST to the coordinator fans out over /v1/dist/*,
-// both nodes run fleet shares, and the answer is byte-identical to a
-// standalone server's.
-func TestServerCoordinatorWorkerFleet(t *testing.T) {
-	dir := t.TempDir()
-	coord := avgi.NewDistCoordinator()
-	coordDist := &avgi.DistConfig{Fleet: 4, Owner: "coord-node", LeaseTTL: 2 * time.Second}
-	coordDist.UseCoordinator(coord)
-	obsv := avgi.NewObserver(io.Discard)
-	coordSvc, err := avgi.NewService(avgi.ServiceConfig{
-		Workers: 2, JournalDir: dir, Fsync: avgi.SyncEvery, Dist: coordDist, Obs: obsv,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newHandler(coordSvc, obsv, coord, nil))
-	defer ts.Close()
-
-	workerSvc, err := avgi.NewService(avgi.ServiceConfig{
-		Workers: 2, JournalDir: dir, Fsync: avgi.SyncEvery,
-		Dist: &avgi.DistConfig{Fleet: 4, Owner: "worker-node", Coordinator: ts.URL, LeaseTTL: 2 * time.Second},
-		Obs:  avgi.NewObserver(io.Discard),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	stop := startWorkerPoll(workerSvc, ts.URL, "worker-node", 500*time.Millisecond, quiet)
-	defer stop()
-
-	env, code := postAssess(t, ts.URL, assessBody)
-	if code != http.StatusOK {
-		t.Fatalf("coordinator assess status %d", code)
-	}
-	if env.Meta.JournalHit {
-		t.Fatalf("first distributed assessment reported a journal hit: %+v", env.Meta)
-	}
-
-	// The worker registered on the coordinator's node roster.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/dist/nodes")
+// TestServerOversizedBodyIs413 pins the /v1/assess body bound: a body
+// past maxAssessBody is refused with 413 and the uniform JSON error, and a
+// body just under it still reaches validation (400 for an unknown
+// workload).
+func TestServerOversizedBodyIs413(t *testing.T) {
+	ts, _ := newTestServer(t, "")
+	for _, tc := range []struct {
+		size    int
+		want    int
+		decoded bool
+	}{
+		{maxAssessBody + 1, http.StatusRequestEntityTooLarge, false},
+		{maxAssessBody - 64, http.StatusBadRequest, true},
+	} {
+		prefix := `{"structure":"RF","mode":"hvf","workload":"`
+		body := prefix + strings.Repeat("a", tc.size-len(prefix)-2) + `"}`
+		resp, err := http.Post(ts.URL+"/v1/assess", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if bytes.Contains(raw, []byte("worker-node")) {
-			break
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body: status %d, want %d", len(body), resp.StatusCode, tc.want)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never registered; roster: %s", raw)
+		var je struct {
+			Error string `json:"error"`
 		}
-		time.Sleep(100 * time.Millisecond)
-	}
-
-	// Byte-identity against a standalone server over a fresh journal.
-	ref, refCode := func() (envelope, int) {
-		rts, _ := newTestServer(t, t.TempDir())
-		return postAssess(t, rts.URL, assessBody)
-	}()
-	if refCode != http.StatusOK {
-		t.Fatalf("reference assess status %d", refCode)
-	}
-	if !bytes.Equal(env.Result, ref.Result) {
-		t.Error("distributed fleet payload diverges from the standalone server's")
+		if err := json.Unmarshal(raw, &je); err != nil || je.Error == "" {
+			t.Errorf("%d-byte body: response %.200q is not a JSON error", len(body), raw)
+		}
+		if decoded := !strings.HasPrefix(je.Error, "decoding request"); decoded != tc.decoded {
+			t.Errorf("%d-byte body: decoded=%v, want %v (error %.200q)", len(body), decoded, tc.decoded, je.Error)
+		}
 	}
 }

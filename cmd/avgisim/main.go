@@ -69,10 +69,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "avgisim:", err)
 		os.Exit(2)
 	}
-	if common.DistRole != "" {
-		logger.Error("-dist-role: avgisim runs one targeted fault; distribution applies to campaigns (use avgi or avgid)")
-		os.Exit(2)
-	}
 	if _, err := common.SyncPolicy(); err != nil {
 		logger.Error(err.Error())
 		os.Exit(2)

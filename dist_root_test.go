@@ -120,47 +120,3 @@ func TestStudyDistTwoNodes(t *testing.T) {
 		t.Error("late node: journal-served distributed results diverge")
 	}
 }
-
-// TestServiceDistAssess drives the distributed layer through the Service:
-// a dist-configured service answers an assessment via a one-node fleet and
-// the next identical request is a pure cache hit.
-func TestServiceDistAssess(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewService(ServiceConfig{
-		Workers:    2,
-		JournalDir: dir,
-		Fsync:      SyncEvery,
-		Dist:       &DistConfig{Fleet: 2, Owner: "svc-node", LeaseTTL: 2 * time.Second},
-		Obs:        NewObserver(nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := s.Assess(svcRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Meta.JournalHit {
-		t.Fatalf("first dist assessment reported a journal hit: %+v", first.Meta)
-	}
-	second, err := s.Assess(svcRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Meta.JournalHit {
-		t.Errorf("repeat dist assessment meta %+v, want a hit", second.Meta)
-	}
-	if resultBytes(t, first) != resultBytes(t, second) {
-		t.Error("dist-served payloads are not byte-identical across requests")
-	}
-
-	// The distributed path must match a plain service's answer exactly.
-	plain := newTestService(t, t.TempDir())
-	ref, err := plain.Assess(svcRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resultBytes(t, first) != resultBytes(t, ref) {
-		t.Error("distributed assessment payload diverges from the plain service's")
-	}
-}

@@ -4,7 +4,8 @@
 // forensics, log format), durable journalling, and pprof profile capture.
 // Each command registers these once and adds its own tool-specific flags on
 // top, so the two CLIs cannot drift apart in spelling, defaults or help
-// text for the options they share.
+// text for the options they share. RegisterDist adds the distributed-fleet
+// flags that only avgi takes, and RegisterServer the avgid daemon's flags.
 package cliflags
 
 import (
@@ -30,11 +31,6 @@ type Common struct {
 	Journal string
 	Resume  bool
 	Fsync   string
-
-	DistRole    string
-	DistOwner   string
-	Coordinator string
-	LeaseTTL    time.Duration
 
 	Progress    bool
 	MetricsAddr string
@@ -68,9 +64,6 @@ func Register(fs *flag.FlagSet, workersDefault int) *Common {
 	fs.StringVar(&c.Fsync, "fsync", "chunk",
 		"journal shard fsync cadence: chunk (default, per completed chunk), every (per fault result; the distributed-worker setting) or off (flush only; see docs/ROBUSTNESS.md)")
 
-	registerDist(fs, &c.DistRole, &c.DistOwner, &c.Coordinator, &c.LeaseTTL,
-		"\"\" (single process) or worker (join a distributed fleet sharding this run's campaigns; -workers then means the fleet-wide count and -journal must point at the shared journal directory, see docs/DISTRIBUTED.md)")
-
 	fs.BoolVar(&c.Progress, "progress", false,
 		"print live campaign progress lines to stderr")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "",
@@ -97,24 +90,28 @@ type Server struct {
 
 	Fsync      string
 	ShardCache int
-
-	DistRole    string
-	DistOwner   string
-	Coordinator string
-	LeaseTTL    time.Duration
 }
 
-// registerDist installs the distributed-campaign flag cluster with a
-// per-tool -dist-role help string (the legal roles differ: batch tools can
-// only be workers, the server can also coordinate).
-func registerDist(fs *flag.FlagSet, role, owner, coordinator *string, ttl *time.Duration, roleHelp string) {
-	fs.StringVar(role, "dist-role", "", "distributed campaign role: "+roleHelp)
-	fs.StringVar(owner, "dist-owner", "",
+// Dist is the distributed-fleet flag state of the avgi study harness,
+// populated by RegisterDist and read after flag.Parse.
+type Dist struct {
+	Role     string
+	Owner    string
+	LeaseTTL time.Duration
+}
+
+// RegisterDist installs avgi's distributed-fleet flags on fs. Only the
+// study harness runs fleets: avgisim is a single shot and avgid serves one
+// process's journal, so neither registers them.
+func RegisterDist(fs *flag.FlagSet) *Dist {
+	d := &Dist{}
+	fs.StringVar(&d.Role, "dist-role", "",
+		"distributed campaign role: \"\" (single process) or worker (join a distributed fleet sharding this run's campaigns; -workers then means the fleet-wide count and -journal must point at the shared journal directory, see docs/DISTRIBUTED.md)")
+	fs.StringVar(&d.Owner, "dist-owner", "",
 		"stable node identity for leases and part shards (default <hostname>-<pid>; set it to survive restarts under the same identity)")
-	fs.StringVar(coordinator, "coordinator", "",
-		"lease-endpoint base URL of an avgid -dist-role=coordinator (empty coordinates through lease files under the shared journal directory)")
-	fs.DurationVar(ttl, "lease-ttl", 10*time.Second,
+	fs.DurationVar(&d.LeaseTTL, "lease-ttl", 10*time.Second,
 		"how long a silent node keeps its claimed chunks before the fleet takes them over")
+	return d
 }
 
 // RegisterServer installs the avgid flags on fs. The server shares the
@@ -140,8 +137,6 @@ func RegisterServer(fs *flag.FlagSet) *Server {
 		"journal shard fsync cadence: chunk (default), every (per fault result) or off (flush only; see docs/ROBUSTNESS.md)")
 	fs.IntVar(&s.ShardCache, "shard-cache", 0,
 		"in-memory decoded-shard LRU entries in front of the journal (0 = default 64, negative disables)")
-	registerDist(fs, &s.DistRole, &s.DistOwner, &s.Coordinator, &s.LeaseTTL,
-		"\"\" (standalone), coordinator (arbitrate leases and fan campaigns out on /v1/dist/*) or worker (poll a -coordinator's feed and run its campaigns against the shared journal; see docs/DISTRIBUTED.md)")
 	return s
 }
 
@@ -155,36 +150,19 @@ func (s *Server) SyncPolicy() (journal.SyncPolicy, error) {
 	return journal.ParseSyncPolicy(s.Fsync)
 }
 
-// ValidateDist checks the batch tools' distributed flag cluster: the only
-// legal role is worker, and distribution needs the shared journal.
-func (c *Common) ValidateDist() error {
-	switch c.DistRole {
+// Validate checks the distributed flags: the only role is worker, and a
+// fleet needs the shared journal directory (journalDir, the -journal flag).
+func (d *Dist) Validate(journalDir string) error {
+	switch d.Role {
 	case "":
 		return nil
 	case "worker":
-		if c.Journal == "" {
+		if journalDir == "" {
 			return fmt.Errorf("-dist-role=worker requires -journal DIR (the fleet's shared coordination substrate)")
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown -dist-role %q (batch tools support only worker)", c.DistRole)
-}
-
-// ValidateDist checks the server's distributed flag cluster.
-func (s *Server) ValidateDist() error {
-	switch s.DistRole {
-	case "", "coordinator":
-		return nil
-	case "worker":
-		if s.Coordinator == "" {
-			return fmt.Errorf("-dist-role=worker requires -coordinator URL (the feed to poll)")
-		}
-		if s.Journal == "" {
-			return fmt.Errorf("-dist-role=worker requires -journal DIR shared with the fleet")
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown -dist-role %q (want coordinator or worker)", s.DistRole)
+	return fmt.Errorf("unknown -dist-role %q (want worker)", d.Role)
 }
 
 // StartProfiles begins CPU profiling and arms a heap-profile dump per the

@@ -2,6 +2,8 @@ package cliflags
 
 import (
 	"flag"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -60,5 +62,56 @@ func TestRegisterServerDefaults(t *testing.T) {
 	}
 	if s.Addr != ":0" || s.Journal != "" || s.TenantWorkers != 3 || s.DrainTimeout != 5*time.Second {
 		t.Errorf("server flags not parsed: %+v", s)
+	}
+}
+
+// TestDistFlagsOnlyOnAvgi pins which tools take the distributed-fleet
+// flags: the shared and server flag sets define none, and RegisterDist
+// (the avgi study harness) defines exactly -dist-role, -dist-owner and
+// -lease-ttl.
+func TestDistFlagsOnlyOnAvgi(t *testing.T) {
+	distFlag := func(name string) bool {
+		return strings.HasPrefix(name, "dist-") || name == "coordinator" || name == "lease-ttl"
+	}
+	for tool, register := range map[string]func(*flag.FlagSet){
+		"shared": func(fs *flag.FlagSet) { Register(fs, 1) },
+		"avgid":  func(fs *flag.FlagSet) { RegisterServer(fs) },
+	} {
+		fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+		register(fs)
+		fs.VisitAll(func(f *flag.Flag) {
+			if distFlag(f.Name) {
+				t.Errorf("%s flag set defines -%s", tool, f.Name)
+			}
+		})
+	}
+
+	fs := flag.NewFlagSet("avgi", flag.ContinueOnError)
+	Register(fs, 0)
+	d := RegisterDist(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) {
+		if distFlag(f.Name) {
+			got = append(got, f.Name)
+		}
+	})
+	if want := []string{"dist-owner", "dist-role", "lease-ttl"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("avgi distributed flags %v, want %v", got, want)
+	}
+	if err := fs.Parse([]string{"-dist-role", "worker", "-dist-owner", "n1", "-lease-ttl", "2s"}); err != nil {
+		t.Fatal(err)
+	}
+	if d.Role != "worker" || d.Owner != "n1" || d.LeaseTTL != 2*time.Second {
+		t.Errorf("distributed flags not parsed: %+v", d)
+	}
+	if err := d.Validate(""); err == nil {
+		t.Error("-dist-role=worker without -journal must be rejected")
+	}
+	if err := d.Validate("/tmp/j"); err != nil {
+		t.Errorf("-dist-role=worker with -journal: %v", err)
+	}
+	d.Role = "coordinator"
+	if err := d.Validate("/tmp/j"); err == nil {
+		t.Error("-dist-role=coordinator must be rejected")
 	}
 }

@@ -2,10 +2,7 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -43,8 +40,8 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// leaserContract runs the semantics every Leaser implementation must share.
-func leaserContract(t *testing.T, l Leaser, advance func(time.Duration)) {
+// leaserContract runs the lease semantics documented on FileLeaser.
+func leaserContract(t *testing.T, l *FileLeaser, advance func(time.Duration)) {
 	t.Helper()
 	const ttl = 10 * time.Second
 
@@ -122,29 +119,11 @@ func TestFileLeaserContract(t *testing.T) {
 	leaserContract(t, l, clk.Advance)
 }
 
-func TestCoordinatorContract(t *testing.T) {
-	clk := newFakeClock()
-	c := NewCoordinator()
-	c.SetClock(clk.Now)
-	leaserContract(t, c, clk.Advance)
-}
-
-func TestHTTPLeaserContract(t *testing.T) {
-	clk := newFakeClock()
-	c := NewCoordinator()
-	c.SetClock(clk.Now)
-	mux := http.NewServeMux()
-	c.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	leaserContract(t, NewHTTPLeaser(srv.URL), clk.Advance)
-}
-
 func TestFileLeaserTornAndEmptyLeases(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "leases")
 	l := NewFileLeaser(dir)
 	var expired atomic.Int64
-	l.SetHooks(nil, func() { expired.Add(1) })
+	l.onExpired = func() { expired.Add(1) }
 
 	for _, body := range []string{"", "{\"owner\":\"ali", "not json at all"} {
 		name := fmt.Sprintf("torn-%d", len(body))
@@ -171,7 +150,7 @@ func TestFileLeaserTakeoverHooks(t *testing.T) {
 	l := NewFileLeaser(filepath.Join(t.TempDir(), "leases"))
 	l.SetClock(clk.Now)
 	var stolen, expired atomic.Int64
-	l.SetHooks(func() { stolen.Add(1) }, func() { expired.Add(1) })
+	l.onSteal, l.onExpired = func() { stolen.Add(1) }, func() { expired.Add(1) }
 
 	if ok, _ := l.TryAcquire("x", "alice", time.Second); !ok {
 		t.Fatal("seed acquire")
@@ -311,40 +290,6 @@ func TestFileLeaserRace(t *testing.T) {
 	clk.Advance(time.Hour)
 	if w := race("stale"); w != 1 {
 		t.Errorf("%d winners racing a stale takeover, want exactly 1", w)
-	}
-}
-
-// TestCoordinatorRestart pins the recovery story: the coordinator holds
-// lease state in memory only, and a worker's heartbeat re-creates its
-// leases on a restarted (empty) coordinator before any rival can claim.
-func TestCoordinatorRestart(t *testing.T) {
-	var current atomic.Pointer[http.ServeMux]
-	mount := func(c *Coordinator) {
-		mux := http.NewServeMux()
-		c.Mount(mux)
-		current.Store(mux)
-	}
-	mount(NewCoordinator())
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		current.Load().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	l := NewHTTPLeaser(srv.URL)
-	if ok, err := l.TryAcquire("shard.chunk-000000-000010", "alice", time.Minute); err != nil || !ok {
-		t.Fatalf("acquire: ok=%v err=%v", ok, err)
-	}
-
-	// Coordinator dies and restarts empty mid-campaign.
-	mount(NewCoordinator())
-
-	// The worker's next heartbeat re-establishes ownership...
-	if err := l.Heartbeat("shard.chunk-000000-000010", "alice", time.Minute); err != nil {
-		t.Fatalf("heartbeat against restarted coordinator: %v", err)
-	}
-	// ...so a rival arriving afterwards is refused exactly as before.
-	if ok, _ := l.TryAcquire("shard.chunk-000000-000010", "bob", time.Minute); ok {
-		t.Error("restarted coordinator granted a lease its heartbeating owner had re-created")
 	}
 }
 
@@ -511,112 +456,5 @@ func TestDistRunDeadNodeTakeover(t *testing.T) {
 	ref, _ := runFleet(t, r, 1)
 	if !bytes.Equal(canon, ref) {
 		t.Error("canonical shard after dead-node takeover differs from a clean single-node run")
-	}
-}
-
-// TestDistRunCoordinatorLeaser runs a two-node fleet arbitrated by an HTTP
-// coordinator instead of lease files — the topology for workers that share
-// a journal mount but no coordinator-free consensus.
-func TestDistRunCoordinatorLeaser(t *testing.T) {
-	r := newDistRunner(t)
-	faults := r.FaultList("RF", 24, 5)
-	key, bind := distKey(), distBind(len(faults))
-	serial := r.Run(faults, campaign.ModeHVF, 0, 2)
-
-	c := NewCoordinator()
-	mux := http.NewServeMux()
-	c.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	dir := t.TempDir()
-	j, err := journal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := make([][]campaign.Result, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for node := 0; node < 2; node++ {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			views[node], errs[node] = Run(Config{
-				Journal:      j,
-				Leaser:       NewHTTPLeaser(srv.URL),
-				Owner:        fmt.Sprintf("node-%d", node),
-				Fleet:        4,
-				LocalWorkers: 2,
-				TTL:          2 * time.Second,
-				Poll:         10 * time.Millisecond,
-			}, r, faults, key, bind, campaign.ModeHVF, 0)
-		}(node)
-	}
-	wg.Wait()
-	for node := range errs {
-		if errs[node] != nil {
-			t.Fatalf("node %d: %v", node, errs[node])
-		}
-		if !reflect.DeepEqual(views[node], serial) {
-			t.Errorf("node %d: coordinator-arbitrated view diverges from the serial run", node)
-		}
-	}
-	ref, _ := runFleet(t, r, 1)
-	canon, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(j.ShardID(key, bind))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canon, ref) {
-		t.Error("coordinator-fleet canonical shard differs from the file-lease fleet's")
-	}
-}
-
-// TestCoordinatorAnnounceFeed covers the campaign fan-out feed used by
-// worker-mode avgid processes.
-func TestCoordinatorAnnounceFeed(t *testing.T) {
-	c := NewCoordinator()
-	mux := http.NewServeMux()
-	c.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	l := NewHTTPLeaser(srv.URL)
-
-	if err := l.Register("worker-1"); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	specA := json.RawMessage(`{"workload":"crc32","structure":"RF"}`)
-	specB := json.RawMessage(`{"workload":"matmul","structure":"LSQ"}`)
-	idA, err := l.Announce(specA)
-	if err != nil || idA == 0 {
-		t.Fatalf("announce A: id=%d err=%v", idA, err)
-	}
-	if again, _ := l.Announce(specA); again != idA {
-		t.Errorf("byte-identical re-announce minted a new ID (%d vs %d)", again, idA)
-	}
-	idB, _ := l.Announce(specB)
-
-	all, err := l.Campaigns(0)
-	if err != nil || len(all) != 2 {
-		t.Fatalf("campaigns(0): %d entries err=%v, want 2", len(all), err)
-	}
-	tail, _ := l.Campaigns(idA)
-	if len(tail) != 1 || tail[0].ID != idB || string(tail[0].Spec) != string(specB) {
-		t.Errorf("campaigns(after=%d) = %+v, want just spec B", idA, tail)
-	}
-
-	// The nodes listing reflects registration.
-	resp, err := http.Get(srv.URL + "/v1/dist/nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var nodes []struct {
-		Node string `json:"node"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&nodes); err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) != 1 || nodes[0].Node != "worker-1" {
-		t.Errorf("nodes = %+v, want worker-1", nodes)
 	}
 }

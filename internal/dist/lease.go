@@ -1,7 +1,8 @@
 // Package dist is the distributed campaign layer: it shards the chunks of
 // one fault-injection campaign across N worker processes (and machines)
-// with nothing but the shared journal directory — or a tiny coordinator
-// endpoint — as the coordination substrate.
+// with nothing but the shared journal directory as the coordination
+// substrate. Lease files in it arbitrate chunk ownership; part shards in
+// it carry the results.
 //
 // The design leans entirely on two properties the rest of the codebase
 // already guarantees:
@@ -35,43 +36,7 @@ import (
 	"time"
 )
 
-// Leaser is the chunk-ownership arbiter of one campaign fleet. Resource
-// names are slash-separated paths ("<shardID>.chunk-0-125", "slots/slot-3");
-// owners are stable node identities. Two implementations exist: FileLeaser
-// (lease files in the shared journal directory, no server needed) and the
-// coordinator pair (Coordinator in-process / HTTPLeaser remote).
-//
-// Semantics every implementation provides:
-//
-//   - TryAcquire is first-writer-wins. A lease whose heartbeat expired is
-//     free (stale-lease takeover); a torn or empty lease record is free; a
-//     resource with a done marker is never acquirable again.
-//   - TryAcquire by the current holder renews the lease (a restarted
-//     worker with a stable owner name reclaims its own leases instantly).
-//   - Heartbeat extends a held lease by ttl. Heartbeating a lease that no
-//     longer exists re-creates it — that is what lets workers ride through
-//     a coordinator restart (the restarted coordinator has empty state and
-//     relearns ownership from the next heartbeat wave).
-//   - Release with done=true writes a persistent done marker so every
-//     later TryAcquire refuses the resource; done=false frees it for the
-//     next claimant.
-//   - Reset deletes all lease and done state under a name prefix — called
-//     by the merge winner once the canonical shard is durable, so finished
-//     chunk markers do not outlive the parts they described.
-//
-// Errors are transport failures (an unreachable coordinator, an unwritable
-// lease directory) — callers treat them as "not acquired" and retry, never
-// as campaign failures.
-type Leaser interface {
-	TryAcquire(name, owner string, ttl time.Duration) (bool, error)
-	Heartbeat(name, owner string, ttl time.Duration) error
-	Release(name, owner string, done bool) error
-	IsDone(name string) (bool, error)
-	Reset(prefix string) error
-}
-
-// leaseRecord is the JSON body of a lease file (and the wire form of
-// coordinator lease state).
+// leaseRecord is the JSON body of a lease file.
 type leaseRecord struct {
 	Owner string `json:"owner"`
 	// Expiry is the heartbeat deadline in Unix nanoseconds; a lease whose
@@ -79,9 +44,31 @@ type leaseRecord struct {
 	Expiry int64 `json:"expiry_unix_ns"`
 }
 
-// FileLeaser coordinates through atomic lease files under a shared
-// directory — the zero-infrastructure mode: point every worker's journal
-// at the same (network) filesystem and no server is needed.
+// FileLeaser is the chunk-ownership arbiter of one campaign fleet: it
+// coordinates through atomic lease files under a shared directory, so
+// every worker whose journal points at the same (network) filesystem
+// needs no server. Resource names are slash-separated paths
+// ("<shardID>.chunk-0-125", "slots/slot-3"); owners are stable node
+// identities.
+//
+// Semantics:
+//
+//   - TryAcquire is first-writer-wins. A lease whose heartbeat expired is
+//     free (stale-lease takeover); a torn or empty lease record is free; a
+//     resource with a done marker is never acquirable again.
+//   - TryAcquire by the current holder renews the lease (a restarted
+//     worker with a stable owner name reclaims its own leases instantly).
+//   - Heartbeat extends a held lease by ttl; heartbeating a lease that no
+//     longer exists re-creates it.
+//   - Release with done=true writes a persistent done marker so every
+//     later TryAcquire refuses the resource; done=false frees it for the
+//     next claimant.
+//   - Reset deletes all lease and done state under a name prefix — called
+//     by the merge winner once the canonical shard is durable, so finished
+//     chunk markers do not outlive the parts they described.
+//
+// Errors are I/O failures (an unwritable lease directory): callers treat
+// them as "not acquired" and retry, never as campaign failures.
 //
 // Protocol, per resource name:
 //
@@ -114,7 +101,8 @@ type FileLeaser struct {
 	now func() time.Time
 
 	// onSteal/onExpired, when non-nil, observe won takeovers and
-	// expired-lease sightings (wired to avgi_dist_* counters).
+	// expired-lease sightings (Run wires them to avgi_dist_* counters
+	// before the leaser is shared).
 	onSteal   func()
 	onExpired func()
 }
@@ -126,12 +114,6 @@ func NewFileLeaser(dir string) *FileLeaser {
 
 // SetClock replaces the staleness clock (tests).
 func (l *FileLeaser) SetClock(now func() time.Time) { l.now = now }
-
-// SetHooks registers observation callbacks for won takeovers and expired
-// leases. Call before sharing the leaser between goroutines.
-func (l *FileLeaser) SetHooks(onSteal, onExpired func()) {
-	l.onSteal, l.onExpired = onSteal, onExpired
-}
 
 func (l *FileLeaser) leasePath(name string) string {
 	return filepath.Join(l.root, filepath.FromSlash(name)+".lease")
@@ -219,7 +201,8 @@ func takeoverClaim(path string, data []byte) string {
 	return fmt.Sprintf("%s.takeover-%016x", path, h.Sum64())
 }
 
-// TryAcquire implements Leaser.
+// TryAcquire claims name for owner for ttl; ok reports whether it is now
+// owner's.
 func (l *FileLeaser) TryAcquire(name, owner string, ttl time.Duration) (bool, error) {
 	if done, err := l.IsDone(name); done || err != nil {
 		return false, err
@@ -294,9 +277,9 @@ func (l *FileLeaser) clearAbandoned(path, owner string, ttl time.Duration) {
 	}
 }
 
-// Heartbeat implements Leaser. A heartbeat on a vanished lease re-creates
-// it (coordinator-restart symmetry; for files this covers a lease
-// directory wiped mid-run).
+// Heartbeat extends owner's lease on name by ttl. A heartbeat on a
+// vanished lease re-creates it, which covers a lease directory wiped
+// mid-run.
 func (l *FileLeaser) Heartbeat(name, owner string, ttl time.Duration) error {
 	path := l.leasePath(name)
 	if rec, ok := l.read(path); ok && rec.Owner != owner && l.now().UnixNano() < rec.Expiry {
@@ -308,7 +291,8 @@ func (l *FileLeaser) Heartbeat(name, owner string, ttl time.Duration) error {
 	return l.write(path, owner, ttl)
 }
 
-// Release implements Leaser.
+// Release gives up owner's lease on name; done also marks the resource
+// finished for good.
 func (l *FileLeaser) Release(name, owner string, done bool) error {
 	if done {
 		f, err := os.OpenFile(l.donePath(name), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -327,7 +311,7 @@ func (l *FileLeaser) Release(name, owner string, done bool) error {
 	return nil
 }
 
-// IsDone implements Leaser.
+// IsDone reports whether name carries a done marker.
 func (l *FileLeaser) IsDone(name string) (bool, error) {
 	if _, err := os.Stat(l.donePath(name)); err == nil {
 		return true, nil
@@ -338,8 +322,8 @@ func (l *FileLeaser) IsDone(name string) (bool, error) {
 	}
 }
 
-// Reset implements Leaser: every lease, done marker and takeover remnant
-// whose name starts with prefix is deleted.
+// Reset deletes every lease, done marker and takeover remnant whose name
+// starts with prefix.
 func (l *FileLeaser) Reset(prefix string) error {
 	base := filepath.Join(l.root, filepath.FromSlash(prefix))
 	dir, stem := filepath.Split(base)

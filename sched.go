@@ -191,8 +191,8 @@ func (je *journalExec) run(r *Runner, structure, workload string, faults []Fault
 		if res, resumed, ok := je.runDist(r, structure, workload, key, bind, faults, mode, window, budget); ok {
 			return res, resumed
 		}
-		// A failed distributed run (unwritable part shard, broken lease
-		// transport) degrades to plain local execution below — the node
+		// A failed distributed run (unwritable part shard or lease
+		// directory) degrades to plain local execution below — the node
 		// stops contributing to the fleet but still answers its caller.
 	}
 	var prior map[int]CampaignResult
@@ -269,7 +269,6 @@ func (je *journalExec) runDist(r *Runner, structure, workload string,
 	}
 	res, err = dist.Run(dist.Config{
 		Journal:      je.journal,
-		Leaser:       je.dist.leaser(),
 		Owner:        je.dist.Owner,
 		Fleet:        je.dist.Fleet,
 		LocalWorkers: budget.Cap(),

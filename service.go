@@ -64,11 +64,6 @@ type ServiceConfig struct {
 	// SyncEvery or SyncOff. See docs/ROBUSTNESS.md.
 	Fsync SyncPolicy
 
-	// Dist, when non-nil with Fleet > 0, runs every campaign this service
-	// simulates as the node's share of a distributed fleet (requires
-	// JournalDir). See docs/DISTRIBUTED.md.
-	Dist *DistConfig
-
 	// Obs receives service telemetry: avgi_server_* metrics, campaign
 	// progress, spans and the journal counters. See docs/OBSERVABILITY.md.
 	Obs *Observer
@@ -241,9 +236,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		if _, err := journal.Open(cfg.JournalDir); err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
-	}
-	if cfg.Dist != nil && cfg.Dist.Fleet > 0 && cfg.JournalDir == "" {
-		return nil, fmt.Errorf("service: distributed campaigns require JournalDir (the shared coordination substrate)")
 	}
 	if cfg.JournalDir != "" && cfg.ShardCacheEntries >= 0 {
 		entries := cfg.ShardCacheEntries
@@ -557,7 +549,6 @@ func (s *Service) Assess(req AssessRequest) (resp *AssessResponse, err error) {
 		variant: machineConfig(norm.Machine).Variant.String(),
 		seed:    norm.Seed,
 		sync:    s.Cfg.Fsync,
-		dist:    s.Cfg.Dist,
 		obs:     s.Cfg.Obs,
 		sched:   &s.sched,
 	}

@@ -61,10 +61,10 @@ type StudyConfig struct {
 
 	// Dist, when non-nil with Fleet > 0, runs every campaign of the study
 	// as this node's share of a distributed fleet sharding chunks across
-	// processes (requires JournalDir; the journal directory — or the
-	// configured coordinator — is the coordination substrate). Results and
-	// the merged canonical shards are byte-identical to a single-process
-	// run. See docs/DISTRIBUTED.md.
+	// processes (requires JournalDir; the shared journal directory is the
+	// coordination substrate, holding the lease files and part shards).
+	// Results and the merged canonical shards are byte-identical to a
+	// single-process run. See docs/DISTRIBUTED.md.
 	Dist *DistConfig
 
 	// Forensics, when non-nil, turns on per-fault outcome attribution:
